@@ -119,10 +119,12 @@ def block_dephase(partition: BlockPartition, rho) -> np.ndarray:
     return rho * block_mask(partition)
 
 
-def zero_threshold(mat, tol: float = ZERO_TOL) -> float:
-    """Scale-relative threshold under which entries of ``mat`` count as zero."""
-    mat = np.asarray(mat)
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
+def zero_threshold(scale, tol: float = ZERO_TOL):
+    """Threshold under which an entry counts as zero, given its matrix's scale.
+
+    ``scale`` is the largest entry magnitude of the containing matrix, a float
+    or an array of them; the result has the same shape.
+    """
     return tol * (1.0 + scale)
 
 
@@ -138,7 +140,7 @@ def max_offblock(partition: BlockPartition, mat) -> float:
 def is_block_incoherent(partition: BlockPartition, rho, tol: float = ZERO_TOL) -> bool:
     """True when every entry outside the diagonal blocks is effectively zero."""
     rho = _as_square(partition, rho, "state")
-    return max_offblock(partition, rho) <= tol * (1.0 + float(np.max(np.abs(rho))))
+    return max_offblock(partition, rho) <= zero_threshold(float(np.max(np.abs(rho))), tol)
 
 
 def diagonal_block_basis(partition: BlockPartition) -> list[np.ndarray]:

@@ -12,6 +12,10 @@ partition.  Three nested families of free operations are decided here:
 Each of the branch-level classes is decided two ways.  The semantic
 classifiers quantify the defining condition over the elementary-matrix basis
 of the relevant operator space (linearity makes the basis check complete).
+They compute it from column block maxima, max |K[a, x]| over the rows a of
+one block: the entries of K|x><y|K^dag are K[a, x] conj(K[b, y]), so the
+block maxima give every per-pair deviation and scale exactly, and the
+verdicts are a restatement of the basis check rather than an approximation.
 The structural classifiers test the block sparsity pattern instead: at most
 one nonzero block in each column partition for BIO, at most one per column
 and per row partition for SBIO.  Structural membership implies semantic
@@ -35,6 +39,7 @@ from .blockcore import (
     BlockPartition,
     block_labels,
     block_mask,
+    zero_threshold,
 )
 from .sampling import as_rng, ginibre, haar_unitary
 
@@ -69,6 +74,8 @@ class KrausSet:
                 f"operators must be {d}x{d} for partition {self.partition}, "
                 f"got {ops.shape[1]}x{ops.shape[2]}"
             )
+        if not np.all(np.isfinite(ops)):
+            raise ValueError("Kraus operators must have finite entries")
         self.operators = ops
 
     @property
@@ -122,6 +129,22 @@ def apply_selective(ks: KrausSet, rho, prob_tol: float = PROB_TOL):
     return branches
 
 
+def _row_block_maxima(ops: np.ndarray, partition: BlockPartition) -> np.ndarray:
+    """A[n, r, x]: the largest |K_n[a, x]| over the rows a of row block r."""
+    return np.maximum.reduceat(np.abs(ops), partition.offsets, axis=1)
+
+
+def _nonzero_blocks(ops: np.ndarray, partition: BlockPartition, tol: float) -> np.ndarray:
+    """Boolean (n, k, k) block pattern of each operator against its own scale."""
+    peaks = np.maximum.reduceat(_row_block_maxima(ops, partition), partition.offsets, axis=2)
+    return peaks > zero_threshold(peaks.max(axis=(1, 2), keepdims=True), tol)
+
+
+def _single_block(grid: np.ndarray, axis: int) -> bool:
+    # at most one nonzero block along ``axis`` of every operator's grid
+    return bool(np.all(grid.sum(axis=axis) <= 1))
+
+
 def block_pattern(op, partition: BlockPartition, tol: float = ZERO_TOL) -> np.ndarray:
     """Boolean (k, k) grid: True where the (row, col) block holds a nonzero entry.
 
@@ -132,67 +155,75 @@ def block_pattern(op, partition: BlockPartition, tol: float = ZERO_TOL) -> np.nd
     d = partition.total
     if op.shape != (d, d):
         raise ValueError(f"operator has shape {op.shape}, expected ({d}, {d})")
-    thr = tol * (1.0 + (float(np.max(np.abs(op))) if op.size else 0.0))
-    k = partition.num_blocks
-    grid = np.zeros((k, k), dtype=bool)
-    for r in range(k):
-        rs = partition.block_slice(r)
-        for c in range(k):
-            cs = partition.block_slice(c)
-            grid[r, c] = bool(np.max(np.abs(op[rs, cs])) > thr)
-    return grid
+    return _nonzero_blocks(op[None], partition, tol)[0]
 
 
 def is_bio_structural(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     """Every operator has at most one nonzero block in each column partition."""
-    for op in ks.operators:
-        grid = block_pattern(op, ks.partition, tol)
-        if np.any(grid.sum(axis=0) > 1):
-            return False
-    return True
+    return _single_block(_nonzero_blocks(ks.operators, ks.partition, tol), axis=1)
 
 
 def is_sbio_structural(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     """At most one nonzero block per column partition and per row partition."""
-    for op in ks.operators:
-        grid = block_pattern(op, ks.partition, tol)
-        if np.any(grid.sum(axis=0) > 1) or np.any(grid.sum(axis=1) > 1):
-            return False
-    return True
+    grid = _nonzero_blocks(ks.operators, ks.partition, tol)
+    return _single_block(grid, axis=1) and _single_block(grid, axis=2)
 
 
-def _same_block_pairs(partition: BlockPartition):
-    for l in range(partition.num_blocks):
-        sl = partition.block_slice(l)
-        for x in range(sl.start, sl.stop):
-            for y in range(sl.start, sl.stop):
-                yield x, y
+# The semantic classifiers test K|x><y|K^dag over elementary basis pairs
+# (x, y).  Its entries are K[a, x] conj(K[b, y]), so its largest magnitude
+# over the rows of block r and the columns of block s is A[n, r, x] A[n, s, y]
+# with A from _row_block_maxima.  Each reduction below yields (deviation,
+# scale) arrays over its pairs, one column block or column at a time, and a
+# pair passes when deviation <= zero_threshold(scale).
 
 
-def _cross_block_pairs(partition: BlockPartition):
-    labels = block_labels(partition)
-    d = partition.total
-    for x in range(d):
-        for y in range(d):
-            if labels[x] != labels[y]:
-                yield x, y
+def _bio_pairs(ks: KrausSet):
+    """Same-block pairs: the worst cross-block entry over all branches."""
+    p = ks.partition
+    amax = _row_block_maxima(ks.operators, p)
+    cross = ~np.eye(p.num_blocks, dtype=bool)
+    for l in range(p.num_blocks):
+        a = amax[:, :, p.block_slice(l)]
+        prod = a[:, :, None, :, None] * a[:, None, :, None, :]  # (n, r, s, x, y)
+        yield prod[:, cross].max(axis=(0, 1), initial=0.0), prod.max(axis=(0, 1, 2))
 
 
-def _pair_conjugation(ops: np.ndarray, x: int, y: int) -> np.ndarray:
-    # K |x><y| K^dag for all operators at once: outer(col_x, conj(col_y))
-    return ops[:, :, x][:, :, None] * ops[:, :, y].conj()[:, None, :]
+def _cross_pairs(ks: KrausSet):
+    """Cross-block pairs: the worst on-block entry, SBIO's extra condition."""
+    labels = block_labels(ks.partition)
+    amax = _row_block_maxima(ks.operators, ks.partition)
+    for l in range(ks.partition.num_blocks):
+        a, b = amax[:, :, labels == l], amax[:, :, labels != l]
+        on = (a[:, :, :, None] * b[:, :, None, :]).max(axis=(0, 1))
+        yield on, (a.max(axis=1)[:, :, None] * b.max(axis=1)[:, None, :]).max(axis=0)
+
+
+def _mbio_pairs(ks: KrausSet):
+    """Same-block pairs of the summed output sum_n K_n|x><y|K_n^dag.
+
+    The sum over branches does not factor into block maxima, so each column
+    x takes one Gram contraction against the columns of its block.
+    """
+    p, ops = ks.partition, ks.operators
+    off = ~block_mask(p)
+    labels = block_labels(p)
+    for x in range(p.total):
+        ys = p.block_slice(labels[x])
+        gram = np.abs(np.tensordot(ops[:, :, x], ops[:, :, ys].conj(), axes=(0, 0)))
+        yield gram[off].max(axis=0, initial=0.0), gram.max(axis=(0, 1))
+
+
+def _holds(pairs, tol: float) -> bool:
+    return all(np.all(dev <= zero_threshold(scale, tol)) for dev, scale in pairs)
+
+
+def _worst(pairs) -> float:
+    return max((float(dev.max(initial=0.0)) for dev, _ in pairs), default=0.0)
 
 
 def bio_semantic_deviation(ks: KrausSet) -> float:
     """Worst cross-block magnitude of K B K^dag over the diagonal-block basis."""
-    off = ~block_mask(ks.partition)
-    if not off.any():
-        return 0.0
-    worst = 0.0
-    for x, y in _same_block_pairs(ks.partition):
-        m = _pair_conjugation(ks.operators, x, y)
-        worst = max(worst, float(np.max(np.abs(m[:, off]))))
-    return worst
+    return _worst(_bio_pairs(ks))
 
 
 def is_bio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
@@ -202,25 +233,12 @@ def is_bio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     elementary B = |x><y| with x, y in the same block.  By linearity this is
     equivalent to the same condition for the diagonal blocks of all states.
     """
-    off = ~block_mask(ks.partition)
-    if not off.any():
-        return True
-    for x, y in _same_block_pairs(ks.partition):
-        m = _pair_conjugation(ks.operators, x, y)
-        dev = float(np.max(np.abs(m[:, off])))
-        if dev > tol * (1.0 + float(np.max(np.abs(m)))):
-            return False
-    return True
+    return _holds(_bio_pairs(ks), tol)
 
 
 def sbio_semantic_deviation(ks: KrausSet) -> float:
     """Worst residual over both branch-level conditions of the strict class."""
-    on = block_mask(ks.partition)
-    worst = bio_semantic_deviation(ks)
-    for x, y in _cross_block_pairs(ks.partition):
-        m = _pair_conjugation(ks.operators, x, y)
-        worst = max(worst, float(np.max(np.abs(m[:, on]))))
-    return worst
+    return max(_worst(_bio_pairs(ks)), _worst(_cross_pairs(ks)))
 
 
 def is_sbio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
@@ -230,40 +248,17 @@ def is_sbio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     B' = |x><y| with x, y in different blocks, which by linearity is the same
     as each branch commuting with the block-dephasing map.
     """
-    if not is_bio_semantic(ks, tol):
-        return False
-    on = block_mask(ks.partition)
-    for x, y in _cross_block_pairs(ks.partition):
-        m = _pair_conjugation(ks.operators, x, y)
-        dev = float(np.max(np.abs(m[:, on])))
-        if dev > tol * (1.0 + float(np.max(np.abs(m)))):
-            return False
-    return True
+    return _holds(_bio_pairs(ks), tol) and _holds(_cross_pairs(ks), tol)
 
 
 def mbio_deviation(ks: KrausSet) -> float:
     """Worst cross-block magnitude of the full channel output over the free basis."""
-    off = ~block_mask(ks.partition)
-    if not off.any():
-        return 0.0
-    worst = 0.0
-    for x, y in _same_block_pairs(ks.partition):
-        m = _pair_conjugation(ks.operators, x, y).sum(axis=0)
-        worst = max(worst, float(np.max(np.abs(m[off]))))
-    return worst
+    return _worst(_mbio_pairs(ks))
 
 
 def is_mbio(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     """The summed channel maps every free-space basis element to a free operator."""
-    off = ~block_mask(ks.partition)
-    if not off.any():
-        return True
-    for x, y in _same_block_pairs(ks.partition):
-        m = _pair_conjugation(ks.operators, x, y).sum(axis=0)
-        dev = float(np.max(np.abs(m[off])))
-        if dev > tol * (1.0 + float(np.max(np.abs(m)))):
-            return False
-    return True
+    return _holds(_mbio_pairs(ks), tol)
 
 
 def sbio_commutation_deviation(ks: KrausSet, rho) -> float:
@@ -284,13 +279,16 @@ def sbio_commutation_deviation(ks: KrausSet, rho) -> float:
 
 def classifier_report(ks: KrausSet, tol: float = ZERO_TOL) -> dict:
     """All classifier verdicts for one Kraus set, as a JSON-ready dict."""
+    grid = _nonzero_blocks(ks.operators, ks.partition, tol)
+    bio_structural = _single_block(grid, axis=1)
+    bio_semantic = _holds(_bio_pairs(ks), tol)
     return {
         "cptp": verify_cptp(ks),
-        "mbio": is_mbio(ks, tol),
-        "bio_structural": is_bio_structural(ks, tol),
-        "bio_semantic": is_bio_semantic(ks, tol),
-        "sbio_structural": is_sbio_structural(ks, tol),
-        "sbio_semantic": is_sbio_semantic(ks, tol),
+        "mbio": _holds(_mbio_pairs(ks), tol),
+        "bio_structural": bio_structural,
+        "bio_semantic": bio_semantic,
+        "sbio_structural": bio_structural and _single_block(grid, axis=2),
+        "sbio_semantic": bio_semantic and _holds(_cross_pairs(ks), tol),
         "tolerance": float(tol),
     }
 
@@ -358,22 +356,17 @@ def has_scaled_isometry_blocks(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     equal, which is what the physical construction promises block by block.
     """
     p = ks.partition
-    for op in ks.operators:
-        grid = block_pattern(op, p, tol)
-        for r in range(p.num_blocks):
-            for c in range(p.num_blocks):
-                if not grid[r, c]:
-                    continue
-                blk = op[p.block_slice(r), p.block_slice(c)]
-                gram = blk.conj().T @ blk
-                thr = tol * (1.0 + float(np.max(np.abs(gram))))
-                offdiag = gram - np.diag(np.diag(gram))
-                if float(np.max(np.abs(offdiag))) > thr:
-                    return False
-                diag = np.diag(gram).real
-                live = diag[diag > thr]
-                if live.size and float(live.max() - live.min()) > thr:
-                    return False
+    for n, r, c in np.argwhere(_nonzero_blocks(ks.operators, p, tol)):
+        blk = ks.operators[n][p.block_slice(r), p.block_slice(c)]
+        gram = blk.conj().T @ blk
+        thr = zero_threshold(float(np.max(np.abs(gram))), tol)
+        offdiag = gram - np.diag(np.diag(gram))
+        if float(np.max(np.abs(offdiag))) > thr:
+            return False
+        diag = np.diag(gram).real
+        live = diag[diag > thr]
+        if live.size and float(live.max() - live.min()) > thr:
+            return False
     return True
 
 
@@ -557,9 +550,11 @@ def gen_pattern_violating(kind: str, partition: BlockPartition, seed: int) -> Kr
     """Complete Kraus set engineered to break the pattern rule of its class.
 
     For 'bio' one operator receives two nonzero blocks in a single column
-    partition.  For 'sbio' one operator sends two column partitions into the
-    same row partition, which stays inside the plain class but leaves the
-    strict one.  Needs a partition with at least two blocks.
+    partition.  For 'sbio' two operators each send column partitions 0 and 1
+    into the same largest row partition, which stays inside the plain class
+    but leaves the strict one.  A single operator would not do: completeness
+    can force its merged block to zero.  Needs a partition with at least two
+    blocks.
     """
     if kind not in ("bio", "sbio"):
         raise ValueError(f"no pattern-violating generator for class {kind!r}")
@@ -576,7 +571,9 @@ def gen_pattern_violating(kind: str, partition: BlockPartition, seed: int) -> Kr
             patterns[0][0] = [r1, r2 + (r2 >= r1)]
         else:
             patterns = _sbio_patterns(partition, n_ops, rng)
-            patterns[0][1] = list(patterns[0][0])
+            largest = [int(np.argmax(partition.dims))]
+            for n in (0, 1):
+                patterns[n][0] = patterns[n][1] = largest
         try:
             ops = _kraus_from_block_patterns(partition, patterns, rng)
         except RuntimeError:

@@ -22,13 +22,14 @@ Usage examples:
 
 All randomness is seeded (default seed 42) and outputs are byte-stable for
 identical invocations.  The default classifier tolerance is 1e-10 and can be
-overridden with --tol or the BLOCKCOH_TOL environment variable.
+overridden with classify --tol or the BLOCKCOH_TOL environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -43,26 +44,16 @@ DEFAULT_TRIALS = 200
 SUITES = ("appendix-a", "appendix-b", "lemmas", "inclusion", "naimark", "measures")
 
 
-def _default_tol() -> float:
-    return float(os.environ.get("BLOCKCOH_TOL", "1e-10"))
-
-
-def _emit(text: str, output: str | None):
-    if output:
-        directory = os.path.dirname(os.path.abspath(output)) or "."
-        import tempfile
-
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".blockcoh-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, output)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    else:
-        sys.stdout.write(text)
+def _tolerance(value) -> float:
+    """The classifier tolerance: --tol, else BLOCKCOH_TOL, else 1e-10."""
+    text = os.environ.get("BLOCKCOH_TOL", "1e-10") if value is None else value
+    try:
+        tol = float(text)
+    except ValueError:
+        raise serialize.SchemaError(f"tolerance {text!r} is not a number") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise serialize.SchemaError(f"tolerance must be finite and >= 0, got {text}")
+    return tol
 
 
 def _read_json(path: str):
@@ -72,23 +63,21 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[int, str]:
     obj = _read_json(args.kraus_file)
     ks = serialize.kraus_from_json(obj)
     if args.partition is not None:
         ks = channels.KrausSet(args.partition, ks.operators)
-    report = channels.classifier_report(ks, args.tol)
-    _emit(serialize.dumps(report), args.output)
-    return 0 if report["cptp"] else 2
+    report = channels.classifier_report(ks, _tolerance(args.tol))
+    return (0 if report["cptp"] else 2), serialize.dumps(report)
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[int, str]:
     ks = channels.gen_random(args.kind, args.partition, args.seed)
-    _emit(serialize.dumps(serialize.kraus_to_json(ks)), args.output)
-    return 0
+    return 0, serialize.dumps(serialize.kraus_to_json(ks))
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> tuple[int, str]:
     if args.kind == "bio":
         report = counting.bio_bound(args.partition)
     else:
@@ -99,11 +88,10 @@ def cmd_bound(args) -> int:
         "per_level": [str(c) for c in report.per_level],
         "total": str(report.total),
     }
-    _emit(serialize.dumps(payload), args.output)
-    return 0
+    return 0, serialize.dumps(payload)
 
 
-def cmd_dilate(args) -> int:
+def cmd_dilate(args) -> tuple[int, str]:
     povm = serialize.povm_from_json(_read_json(args.povm_file))
     ext = naimark.dilate(povm)
     partition, perm = naimark.induced_partition(povm)
@@ -115,11 +103,10 @@ def cmd_dilate(args) -> int:
         "partition": list(partition.dims),
         "permutation": [int(p) for p in perm],
     }
-    _emit(serialize.dumps(payload), args.output)
-    return 0
+    return 0, serialize.dumps(payload)
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> tuple[int, str]:
     rho = validate_density_matrix(serialize.state_from_json(_read_json(args.state)))
     if rho.shape[0] != args.partition.total:
         raise serialize.SchemaError(
@@ -135,8 +122,7 @@ def cmd_measure(args) -> int:
         "partition": list(args.partition.dims),
         "value": value,
     }
-    _emit(serialize.dumps(payload), args.output)
-    return 0
+    return 0, serialize.dumps(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +298,22 @@ def _suite_measures(seed: int, trials: int) -> _Suite:
     return suite
 
 
-def cmd_verify(args) -> int:
-    partition = args.partition if args.partition is not None else BlockPartition((2, 3))
+def cmd_verify(args) -> tuple[int, str]:
+    if args.trials < 1:
+        raise serialize.SchemaError(f"--trials must be at least 1, got {args.trials}")
     if args.suite == "appendix-a":
-        suite = _suite_appendix(partition, args.seed, args.trials, strict=False)
+        suite = _suite_appendix(args.partition, args.seed, args.trials, strict=False)
     elif args.suite == "appendix-b":
-        suite = _suite_appendix(partition, args.seed, args.trials, strict=True)
+        suite = _suite_appendix(args.partition, args.seed, args.trials, strict=True)
     elif args.suite == "lemmas":
         suite = _suite_lemmas(args.seed, args.trials)
     elif args.suite == "inclusion":
-        suite = _suite_inclusion(partition, args.seed, args.trials)
+        suite = _suite_inclusion(args.partition, args.seed, args.trials)
     elif args.suite == "naimark":
         suite = _suite_naimark(args.seed, args.trials)
     else:
         suite = _suite_measures(args.seed, args.trials)
-    _emit("".join(line + "\n" for line in suite.lines), args.output)
-    return 0 if suite.ok else 1
+    return (0 if suite.ok else 1), "".join(line + "\n" for line in suite.lines)
 
 
 def _partition_arg(text: str) -> BlockPartition:
@@ -341,48 +327,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, partition_default=None):
-        p.add_argument("--partition", type=_partition_arg, default=partition_default,
-                       help="comma-separated block sizes, e.g. 2,3")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--tol", type=float, default=_default_tol())
+    def add(name, func, summary, partition=None, seed=False):
+        """A subcommand with -o and the shared flags it reads.
+
+        ``partition`` is the --partition default; False leaves the flag out.
+        """
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
+        if partition is not False:
+            p.add_argument("--partition", type=_partition_arg, default=partition,
+                           help="comma-separated block sizes, e.g. 2,3")
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        return p
 
-    p = sub.add_parser("classify", help="classify a Kraus-set file")
+    p23 = BlockPartition((2, 3))
+    p = add("classify", cmd_classify, "classify a Kraus-set file")
     p.add_argument("kraus_file", help="Kraus-set JSON file, or - for stdin")
-    common(p)
-    p.set_defaults(func=cmd_classify)
+    p.add_argument("--tol", type=float, default=None,
+                   help="classifier tolerance (default: BLOCKCOH_TOL or 1e-10)")
 
-    p = sub.add_parser("gen", help="generate a random channel of a class")
+    p = add("gen", cmd_gen, "generate a random channel of a class", p23, seed=True)
     p.add_argument("--class", dest="kind", required=True, choices=channels.GEN_KINDS)
-    common(p, partition_default=BlockPartition((2, 3)))
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bound", help="operator-count bound for a partition")
+    p = add("bound", cmd_bound, "operator-count bound for a partition", p23)
     p.add_argument("--class", dest="kind", required=True, choices=("bio", "sbio"))
-    common(p, partition_default=BlockPartition((2, 3)))
-    p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("dilate", help="dilate a POVM file to a projective measurement")
+    p = add("dilate", cmd_dilate, "dilate a POVM file to a projective measurement", False)
     p.add_argument("povm_file", help="POVM JSON file, or - for stdin")
-    common(p)
-    p.set_defaults(func=cmd_dilate)
 
-    p = sub.add_parser("measure", help="evaluate a block-coherence measure on a state file")
+    p = add("measure", cmd_measure, "evaluate a block-coherence measure on a state file",
+            BlockPartition((1, 1)))
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--measure", choices=("rel-entropy", "l1"), default="rel-entropy")
-    common(p, partition_default=BlockPartition((1, 1)))
-    p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    p = add("verify", cmd_verify, "run a named verification suite", p23, seed=True)
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    for sp in sub.choices.values():
-        if not any(a.dest == "trials" for a in sp._actions):
-            sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
 
     return parser
 
@@ -390,11 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        if args.output:
+            serialize.write_text_atomic(args.output, text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (serialize.SchemaError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "parse"}) + "\n")
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "runtime"}) + "\n")
         return 1
 

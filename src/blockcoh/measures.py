@@ -11,8 +11,6 @@ prove the axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blockcore import BlockPartition, block_dephase, block_mask
@@ -58,15 +56,6 @@ def l1_block_coherence(partition: BlockPartition, rho) -> float:
         raise ValueError(f"state has shape {rho.shape}, expected ({d}, {d})")
     off = ~block_mask(partition)
     return float(np.abs(rho[off]).sum()) if off.any() else 0.0
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """A named measure value for one partition."""
-
-    measure_name: str
-    value: float
-    partition: BlockPartition
 
 
 def _require_free_channel(channel: KrausSet):

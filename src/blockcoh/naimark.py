@@ -35,6 +35,8 @@ class Povm:
         eff = np.asarray(self.effects, dtype=complex)
         if eff.ndim != 3 or eff.shape[0] == 0 or eff.shape[1] != eff.shape[2]:
             raise ValueError("effects must be a nonempty list of square matrices")
+        if not np.all(np.isfinite(eff)):
+            raise ValueError("effects must have finite entries")
         d = eff.shape[1]
         for i, e in enumerate(eff):
             herm = float(np.max(np.abs(e - e.conj().T)))

@@ -9,6 +9,7 @@ comma-separated positive integers, e.g. "2,3".
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import tempfile
@@ -43,9 +44,12 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise SchemaError(f"{what} entry ({r}, {c}) is not a [re, im] pair")
             try:
-                vals.append(complex(float(entry[0]), float(entry[1])))
+                val = complex(float(entry[0]), float(entry[1]))
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"{what} entry ({r}, {c}) is not numeric: {exc}") from exc
+            if not cmath.isfinite(val):
+                raise SchemaError(f"{what} entry ({r}, {c}) is not finite")
+            vals.append(val)
         rows.append(vals)
     return np.array(rows, dtype=complex)
 
@@ -133,7 +137,11 @@ def dumps(obj) -> str:
 
 def write_json_atomic(path: str, obj):
     """Serialize to a sibling temp file, then rename over the target."""
-    text = dumps(obj)
+    write_text_atomic(path, dumps(obj))
+
+
+def write_text_atomic(path: str, text: str):
+    """Write text to a sibling temp file, then rename over the target."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".blockcoh-", suffix=".tmp")
     try:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from blockcoh.blockcore import (
+    ZERO_TOL,
     BlockPartition,
     block_dephase,
+    block_labels,
+    block_mask,
     block_projectors,
     is_block_incoherent,
 )
@@ -29,6 +32,7 @@ from blockcoh.channels import (
     is_mbio,
     is_sbio_semantic,
     is_sbio_structural,
+    mbio_deviation,
     sbio_commutation_deviation,
     sbio_semantic_deviation,
     verify_cptp,
@@ -54,6 +58,11 @@ def test_kraus_set_validation():
         KrausSet(P23, np.empty((0, 5, 5)))
     with pytest.raises(ValueError):
         KrausSet(P23, np.zeros((2, 4, 4)))
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        ops = np.eye(5, dtype=complex)
+        ops[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            KrausSet(P23, ops)
     ks = KrausSet(P23, np.eye(5))  # single operator is promoted to a set
     assert ks.n_operators == 1 and len(ks) == 1 and ks.dim == 5
 
@@ -177,6 +186,20 @@ def test_violating_sets_fail_semantically():
         bad = gen_pattern_violating("sbio", P23, seed)
         assert verify_cptp(bad)
         assert not is_sbio_semantic(bad)
+
+
+@pytest.mark.parametrize("dims", [
+    (2, 3), (1, 1), (2, 1), (1, 1, 1), (3, 5, 7), (4, 4, 4), (1, 15), (1,) * 8,
+    (8, 8, 8, 8), (16, 16, 16),
+])
+def test_sbio_violators_on_every_partition(dims):
+    # includes partitions whose first block is a largest block
+    p = BlockPartition(dims)
+    for seed in range(3):
+        bad = gen_pattern_violating("sbio", p, seed)
+        assert verify_cptp(bad)
+        assert is_bio_structural(bad)
+        assert not is_sbio_structural(bad) and not is_sbio_semantic(bad)
 
 
 def test_violating_generator_rejects_single_block():
@@ -432,3 +455,103 @@ def test_deviation_helpers_are_zero_on_clean_members():
     for seed in range(20):
         assert bio_semantic_deviation(gen_random("bio", P23, seed)) <= 1e-12
         assert sbio_semantic_deviation(gen_random("sbio", P23, seed)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the classifiers as loops over elementary basis pairs
+# ---------------------------------------------------------------------------
+
+def reference_semantic(ks, tol=ZERO_TOL):
+    """{class: (verdict, deviation)} from K|x><y|K^dag, one basis pair at a time.
+
+    A pair fails when its worst entry in the tested region exceeds
+    tol * (1 + the largest entry of K|x><y|K^dag over all branches).
+    """
+    p = ks.partition
+    labels = block_labels(p)
+    on = block_mask(p)
+    same = [(x, y) for x in range(p.total) for y in range(p.total) if labels[x] == labels[y]]
+    cross = [(x, y) for x in range(p.total) for y in range(p.total) if labels[x] != labels[y]]
+    out = {}
+    for name, pairs, summed, region in (
+        ("bio_semantic", same, False, ~on),
+        ("mbio", same, True, ~on),
+        ("cross", cross, False, on),
+    ):
+        holds, worst = True, 0.0
+        for x, y in pairs:
+            m = ks.operators[:, :, x][:, :, None] * ks.operators[:, :, y].conj()[:, None, :]
+            if summed:
+                m = m.sum(axis=0)
+            dev = float(np.max(np.abs(m[..., region]))) if region.any() else 0.0
+            worst = max(worst, dev)
+            if dev > tol * (1.0 + float(np.max(np.abs(m)))):
+                holds = False
+        out[name] = (holds, worst)
+    bio, extra = out["bio_semantic"], out.pop("cross")
+    out["sbio_semantic"] = (bio[0] and extra[0], max(bio[1], extra[1]))
+    return out
+
+
+def reference_block_pattern(op, p, tol=ZERO_TOL):
+    thr = tol * (1.0 + float(np.max(np.abs(op))))
+    return np.array([
+        [np.max(np.abs(op[p.block_slice(r), p.block_slice(c)])) > thr for c in range(p.num_blocks)]
+        for r in range(p.num_blocks)
+    ])
+
+
+ORACLE_PARTITIONS = [
+    (1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2), (1, 3),
+    (1, 1, 1), (1, 2, 2), (2, 1, 1), (1, 1, 1, 1), (3,),
+]
+ORACLE_SETS_PER_PARTITION = 260
+
+
+def oracle_sets(dims):
+    """Members of every kind, violators, dense sets and members with a leak.
+
+    The leak puts entries of size 1e-12 to 1e-8 where a member is exactly
+    zero, around the 1e-10 classifier tolerance.
+    """
+    p = BlockPartition(dims)
+    rng = np.random.default_rng(sum(dims) * 1000 + len(dims))
+    for seed in range(ORACLE_SETS_PER_PARTITION):
+        case = seed % 8
+        if case < 4:
+            yield gen_random(GEN_KINDS[case], p, seed)
+        elif case < 6 and p.num_blocks > 1:
+            yield gen_pattern_violating(("bio", "sbio")[case - 4], p, seed)
+        elif case < 7:
+            yield KrausSet(p, random_cptp(p.total, int(rng.integers(1, 4)), rng))
+        else:
+            ops = gen_random(("bio", "sbio")[seed % 2], p, seed).operators.copy()
+            zero = ops == 0
+            leak = 10.0 ** rng.uniform(-12, -8)
+            ops[zero] = leak * ginibre(rng, int(zero.sum()), 1)[:, 0]
+            yield KrausSet(p, ops)
+
+
+def test_block_maxima_classifiers_match_basis_loops():
+    classes = {
+        "bio_semantic": (is_bio_semantic, bio_semantic_deviation),
+        "sbio_semantic": (is_sbio_semantic, sbio_semantic_deviation),
+        "mbio": (is_mbio, mbio_deviation),
+    }
+    count = 0
+    verdicts = {name: set() for name in classes}
+    for dims in ORACLE_PARTITIONS:
+        for ks in oracle_sets(dims):
+            count += 1
+            want = reference_semantic(ks)
+            report = classifier_report(ks)
+            for name, (holds, deviation) in classes.items():
+                assert holds(ks) == report[name] == want[name][0], (dims, name)
+                assert abs(deviation(ks) - want[name][1]) <= 1e-15, (dims, name)
+                verdicts[name].add(want[name][0])
+            for op in ks.operators:
+                assert np.array_equal(block_pattern(op, ks.partition),
+                                      reference_block_pattern(op, ks.partition))
+    assert count >= 3000
+    # the sample holds sets on both sides of every verdict
+    assert all(v == {True, False} for v in verdicts.values())

@@ -203,3 +203,73 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "classify", str(path))
     assert code == 0
     assert json.loads(out)["tolerance"] == 1e-6
+
+
+def test_classify_rejects_non_finite_entries(tmp_path, capsys):
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        obj = kraus_to_json(KrausSet(BlockPartition((2, 3)), np.eye(5)))
+        obj["kraus"][0][3][1] = [bad, 0.0]
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(obj))  # written as the NaN / Infinity literals
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 1 and out == ""
+        message = json.loads(err)
+        assert message["kind"] == "parse" and "not finite" in message["error"]
+
+
+def test_runtime_error_is_one_json_line(capsys, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("could not generate")
+
+    monkeypatch.setattr("blockcoh.channels.gen_random", fail)
+    code, out, err = run(capsys, "gen", "--class", "bio")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "could not generate", "kind": "runtime"}
+
+
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, monkeypatch):
+    p = BlockPartition((2, 3))
+    path = write_kraus(tmp_path / "proj.json", KrausSet(p, np.array(block_projectors(p))))
+    for flag in ("nan", "inf", "-1e-3"):
+        code, out, err = run(capsys, "classify", path, f"--tol={flag}")
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "parse"
+    for env in ("nan", "abc", "-1"):
+        monkeypatch.setenv("BLOCKCOH_TOL", env)
+        code, out, err = run(capsys, "classify", path)
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "parse"
+    # the flag wins over the environment, and commands without a tolerance ignore it
+    code, out, _ = run(capsys, "classify", path, "--tol", "0")
+    assert code == 0 and json.loads(out)["tolerance"] == 0.0
+    code, out, _ = run(capsys, "bound", "--class", "bio")
+    assert code == 0 and json.loads(out)["total"] == "45346"
+
+
+def test_verify_needs_at_least_one_trial(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "inclusion", "--trials", trials)
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "parse"
+
+
+def test_flags_only_on_commands_that_read_them(capsys):
+    for argv in (
+        ["dilate", "povm.json", "--partition", "2,3"],
+        ["bound", "--class", "bio", "--seed", "1"],
+        ["measure", "--state", "s.json", "--trials", "5"],
+        ["gen", "--class", "bio", "--tol", "1e-6"],
+        ["classify", "k.json", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+
+
+def test_sbio_violators_where_first_block_is_largest(capsys):
+    for partition in ("4,4,4", "1,1,1"):
+        code, out, _ = run(capsys, "verify", "appendix-b", "--partition", partition,
+                           "--trials", "10")
+        assert code == 0
+        assert all(line.startswith("PASS") for line in out.strip().splitlines())

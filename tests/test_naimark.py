@@ -25,6 +25,9 @@ def test_povm_validation():
         Povm(np.array([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])]))
     with pytest.raises(ValueError, match="identity"):
         Povm(np.array([np.eye(2), np.eye(2)]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Povm(np.array([np.diag([1.0, bad]), np.diag([0.0, 1.0])]))
     p = Povm(np.array([np.eye(2) / 2, np.eye(2) / 2]))
     assert p.dim == 2 and p.n_outcomes == 2
 
