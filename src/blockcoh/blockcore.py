@@ -108,14 +108,24 @@ def _as_square(partition: BlockPartition, mat, what: str = "matrix") -> np.ndarr
     return mat
 
 
+def _as_stack(partition: BlockPartition, rho) -> np.ndarray:
+    # one (d, d) state or a stack (..., d, d) of them
+    rho = np.asarray(rho, dtype=complex)
+    d = partition.total
+    if rho.ndim < 2 or rho.shape[-2:] != (d, d):
+        raise ValueError(f"state has shape {rho.shape}, expected (..., {d}, {d})")
+    return rho
+
+
 def block_dephase(partition: BlockPartition, rho) -> np.ndarray:
     """Apply the block-dephasing map: zero every entry that crosses blocks.
 
     Entry (x, y) survives exactly when x and y lie in the same block, which is
     the same as conjugating with each block projector and summing.  The map is
-    idempotent, trace preserving and hermiticity preserving.
+    idempotent, trace preserving and hermiticity preserving.  ``rho`` may be
+    one (d, d) matrix or a stack (..., d, d); each matrix is dephased.
     """
-    rho = _as_square(partition, rho, "state")
+    rho = _as_stack(partition, rho)
     return rho * block_mask(partition)
 
 
@@ -180,11 +190,15 @@ def validate_density_matrix(rho, tol: float = STATE_TOL) -> np.ndarray:
     """Check hermiticity, positivity and unit trace; return the array.
 
     Raises ValueError naming the failed property.  Eigenvalues are allowed to
-    dip to -tol to absorb double-precision construction noise.
+    dip to -tol to absorb double-precision construction noise.  NaN and
+    infinite entries are rejected first: every comparison with NaN is false,
+    so the checks below would let them through.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has non-finite entries")
     herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
     if herm_dev > tol:
         raise ValueError(f"matrix is not hermitian (deviation {herm_dev:.3e})")

@@ -37,6 +37,7 @@ import numpy as np
 from .blockcore import (
     ZERO_TOL,
     BlockPartition,
+    _as_stack,
     block_labels,
     block_mask,
     zero_threshold,
@@ -95,7 +96,9 @@ class KrausSet:
 
 def cptp_deviation(ks: KrausSet) -> float:
     """Largest entry deviation of sum K^dag K from the identity."""
-    total = np.einsum("nji,njk->ik", ks.operators.conj(), ks.operators)
+    # sum_n K_n^dag K_n is the Gram matrix of the operators stacked to (n*d, d)
+    stacked = ks.operators.reshape(-1, ks.dim)
+    total = stacked.conj().T @ stacked
     return float(np.max(np.abs(total - np.eye(ks.dim))))
 
 
@@ -104,15 +107,26 @@ def verify_cptp(ks: KrausSet, tol: float = CPTP_TOL) -> bool:
     return cptp_deviation(ks) <= tol
 
 
+def branch_outputs(ks: KrausSet, rho) -> np.ndarray:
+    """Every unnormalized branch K_n rho K_n^dag, in operator order.
+
+    ``rho`` is one (d, d) state, giving shape (n, d, d), or a stack
+    (..., d, d), giving (..., n, d, d).  Branch n's probability is the trace
+    of its output.
+    """
+    rho = _as_stack(ks.partition, rho)
+    ops = ks.operators
+    return ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)
+
+
 def apply_channel(ks: KrausSet, rho) -> np.ndarray:
     """Full channel action sum_n K_n rho K_n^dag.
 
-    The caller is responsible for verify_cptp; dimensions are checked here.
+    ``rho`` is one (d, d) state or a stack (..., d, d); the output has the
+    same shape.  The caller is responsible for verify_cptp; dimensions are
+    checked here.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ks.dim, ks.dim):
-        raise ValueError(f"state has shape {rho.shape}, expected ({ks.dim}, {ks.dim})")
-    return np.einsum("nij,jk,nlk->il", ks.operators, rho, ks.operators.conj())
+    return branch_outputs(ks, rho).sum(axis=-3)
 
 
 def apply_selective(ks: KrausSet, rho, prob_tol: float = PROB_TOL):
@@ -120,13 +134,9 @@ def apply_selective(ks: KrausSet, rho, prob_tol: float = PROB_TOL):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (ks.dim, ks.dim):
         raise ValueError(f"state has shape {rho.shape}, expected ({ks.dim}, {ks.dim})")
-    branches = []
-    for op in ks.operators:
-        out = op @ rho @ op.conj().T
-        q = float(np.trace(out).real)
-        if q > prob_tol:
-            branches.append((q, out / q))
-    return branches
+    outs = branch_outputs(ks, rho)
+    probs = np.trace(outs, axis1=-2, axis2=-1).real.tolist()
+    return [(q, out / q) for q, out in zip(probs, outs) if q > prob_tol]
 
 
 def _row_block_maxima(ops: np.ndarray, partition: BlockPartition) -> np.ndarray:

@@ -317,11 +317,26 @@ def cmd_verify(args) -> tuple[int, str]:
 
 
 def _partition_arg(text: str) -> BlockPartition:
-    return serialize.parse_partition(text)
+    try:
+        return serialize.parse_partition(text)
+    except serialize.SchemaError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors in the one-line JSON error form.
+
+    Subparsers are made with the parser's own class, so they inherit this.
+    The exit code stays argparse's 2.
+    """
+
+    def error(self, message):
+        sys.stderr.write(json.dumps({"error": f"{self.prog}: {message}", "kind": "parse"}) + "\n")
+        raise SystemExit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockcoh",
         description="Block-coherence toolkit: classify, generate, bound, dilate, measure, verify.",
     )

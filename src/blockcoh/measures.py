@@ -13,49 +13,65 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockcore import BlockPartition, block_dephase, block_mask
-from .channels import KrausSet, apply_channel, apply_selective, is_bio_semantic
+from .blockcore import BlockPartition, _as_stack, block_dephase, block_mask
+from .channels import PROB_TOL, KrausSet, apply_channel, branch_outputs, is_bio_semantic
 from .sampling import random_density_matrix
 
 # Negative eigenvalues beyond this window are treated as invalid input.
 EIG_TOL = 1e-9
+# Trials a probe evaluates per stacked measure call; bounds the probe's memory.
+PROBE_CHUNK = 32
 
 
-def von_neumann_entropy(rho, tol: float = EIG_TOL) -> float:
+def _float_or_array(values):
+    # one value per state: a float for a single state, an array for a stack
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def von_neumann_entropy(rho, tol: float = EIG_TOL):
     """Entropy -sum lambda log2 lambda in bits, with 0 log 0 = 0.
 
-    Eigenvalues inside [-tol, 0] are clamped to zero; anything more negative
-    raises, since that indicates a non-state rather than rounding noise.
+    ``rho`` is one (d, d) state, giving a float, or a stack (..., d, d),
+    giving an array of shape (...).  Eigenvalues inside [-tol, 0] are clamped
+    to zero; anything more negative, in any state of the stack, raises, since
+    that indicates a non-state rather than rounding noise.  Non-finite entries
+    raise too.
     """
     rho = np.asarray(rho, dtype=complex)
-    vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if vals.min() < -tol:
-        raise ValueError(f"input is not positive semidefinite (min eigenvalue {vals.min():.3e})")
+    if not np.isfinite(rho).all():
+        raise ValueError("input has non-finite entries")
+    herm = rho.conj().swapaxes(-1, -2)
+    herm += rho
+    herm /= 2
+    vals = np.linalg.eigvalsh(herm)
+    lo = vals.min(initial=0.0)
+    if lo < -tol:
+        raise ValueError(f"input is not positive semidefinite (min eigenvalue {lo:.3e})")
     vals = np.clip(vals, 0.0, 1.0)
-    live = vals[vals > 0.0]
-    return float(-(live * np.log2(live)).sum())
+    # log2(1) = 0 in place of log2(0), so clamped eigenvalues add exactly 0
+    logs = np.log2(np.where(vals > 0.0, vals, 1.0))
+    return _float_or_array(-(vals * logs).sum(axis=-1))
 
 
-def rel_entropy_block_coherence(partition: BlockPartition, rho) -> float:
-    """Entropy gap S(dephase(rho)) - S(rho); zero exactly on free states."""
-    rho = np.asarray(rho, dtype=complex)
-    d = partition.total
-    if rho.shape != (d, d):
-        raise ValueError(f"state has shape {rho.shape}, expected ({d}, {d})")
+def rel_entropy_block_coherence(partition: BlockPartition, rho):
+    """Entropy gap S(dephase(rho)) - S(rho); zero exactly on free states.
+
+    Takes one (d, d) state or a stack (..., d, d), like von_neumann_entropy.
+    """
     return von_neumann_entropy(block_dephase(partition, rho)) - von_neumann_entropy(rho)
 
 
-def l1_block_coherence(partition: BlockPartition, rho) -> float:
+def l1_block_coherence(partition: BlockPartition, rho):
     """Sum of |rho_xy| over all index pairs in different blocks.
 
     For all-ones partitions this is the usual entrywise off-diagonal sum.
+    Takes one (d, d) state or a stack (..., d, d), like von_neumann_entropy.
     """
-    rho = np.asarray(rho, dtype=complex)
-    d = partition.total
-    if rho.shape != (d, d):
-        raise ValueError(f"state has shape {rho.shape}, expected ({d}, {d})")
+    rho = _as_stack(partition, rho)
     off = ~block_mask(partition)
-    return float(np.abs(rho[off]).sum()) if off.any() else 0.0
+    # mask indexing of a stack leaves rows strided; contiguous rows make each
+    # sum the same pairwise sum as for a single state
+    return _float_or_array(np.abs(np.ascontiguousarray(rho[..., off])).sum(axis=-1))
 
 
 def _require_free_channel(channel: KrausSet):
@@ -63,50 +79,91 @@ def _require_free_channel(channel: KrausSet):
         raise ValueError("channel is not block-incoherent branch by branch; probe is meaningless")
 
 
-def _monotonicity_scan(measure, partition, channel, trials, seed):
+# Each probe scans its trials in chunks of PROBE_CHUNK.  A chunk function maps
+# a range of trial indices to (gains, states): one gain per trial, and the
+# states the report names as offenders.  Trial t always draws from seed + t,
+# so the result does not depend on the chunk size.
+
+
+def _scan(trials: int, chunk):
+    """Worst strictly positive gain over all trials and its offending state.
+
+    Ties go to the earliest trial.  A NaN gain raises rather than being
+    passed over, since it could hide a real violation.
+    """
     worst, offender = 0.0, None
-    for t in range(trials):
-        rho = random_density_matrix(partition.total, seed + t)
-        gain = measure(partition, apply_channel(channel, rho)) - measure(partition, rho)
-        if gain > worst:
-            worst, offender = gain, rho
+    for start in range(0, trials, PROBE_CHUNK):
+        ts = range(start, min(start + PROBE_CHUNK, trials))
+        gains, states = chunk(ts)
+        nan = np.flatnonzero(np.isnan(gains))
+        if nan.size:
+            raise ValueError(f"measure gain is NaN in trial {ts[nan[0]]}")
+        i = int(np.argmax(gains))
+        if gains[i] > worst:
+            worst, offender = float(gains[i]), states[i].copy()
     return worst, offender
+
+
+def _random_states(dim: int, seed: int, ts) -> np.ndarray:
+    return np.stack([random_density_matrix(dim, seed + t) for t in ts])
+
+
+def _monotonicity_scan(measure, partition, channel, trials, seed):
+    def chunk(ts):
+        rhos = _random_states(partition.total, seed, ts)
+        return measure(partition, apply_channel(channel, rhos)) - measure(partition, rhos), rhos
+
+    return _scan(trials, chunk)
 
 
 def _strong_monotonicity_scan(measure, partition, channel, trials, seed):
-    worst, offender = 0.0, None
-    for t in range(trials):
-        rho = random_density_matrix(partition.total, seed + t)
-        avg = sum(q * measure(partition, sigma) for q, sigma in apply_selective(channel, rho))
-        gain = avg - measure(partition, rho)
-        if gain > worst:
-            worst, offender = gain, rho
-    return worst, offender
+    def chunk(ts):
+        rhos = _random_states(partition.total, seed, ts)
+        outs = branch_outputs(channel, rhos)                    # (T, n, d, d)
+        probs = np.trace(outs, axis1=-2, axis2=-1).real         # (T, n)
+        live = probs > PROB_TOL
+        outs /= np.where(live, probs, 1.0)[..., None, None]
+        # dead branches are measured on the input state and masked out below
+        np.copyto(outs, rhos[:, None], where=~live[..., None, None])
+        values = measure(partition, outs)
+        avg = np.zeros(len(ts))
+        for n in range(probs.shape[1]):  # left to right, as a sum over branches
+            avg = avg + np.where(live[:, n], probs[:, n] * values[:, n], 0.0)
+        return avg - measure(partition, rhos), rhos
+
+    return _scan(trials, chunk)
 
 
 def _convexity_scan(measure, partition, trials, seed):
-    worst, offender = 0.0, None
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        parts = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(parts))
-        states = [random_density_matrix(partition.total, rng) for _ in range(parts)]
-        mix = sum(p * s for p, s in zip(weights, states))
-        gap = measure(partition, mix) - sum(
-            p * measure(partition, s) for p, s in zip(weights, states)
-        )
-        if gap > worst:
-            worst, offender = gap, mix
-    return worst, offender
+    def chunk(ts):
+        parts, weights, owner = [], [], []
+        for i, t in enumerate(ts):
+            rng = np.random.default_rng(seed + t)
+            k = int(rng.integers(2, 5))
+            weights.extend(rng.dirichlet(np.ones(k)))
+            parts.extend(random_density_matrix(partition.total, rng) for _ in range(k))
+            owner.extend([i] * k)
+        parts, weights = np.stack(parts), np.array(weights)
+        # np.add.at adds in index order, so each trial sums its parts left to right
+        mixes = np.zeros((len(ts),) + parts.shape[1:], dtype=complex)
+        np.add.at(mixes, owner, weights[:, None, None] * parts)
+        avg = np.zeros(len(ts))
+        np.add.at(avg, owner, weights * measure(partition, parts))
+        return measure(partition, mixes) - avg, mixes
+
+    return _scan(trials, chunk)
 
 
 def monotonicity_probe(measure, partition: BlockPartition, channel: KrausSet,
                        trials: int = 200, seed: int = 0) -> float:
     """Worst increase of ``measure`` under the full channel over random states.
 
-    ``measure`` is any callable measure(partition, rho) -> float.  Each trial
+    ``measure`` is a callable measure(partition, rho) that takes a stack of
+    states (T, d, d) and returns an array of T values, as both measures here
+    do; the probes evaluate up to PROBE_CHUNK trials per call.  Each trial
     draws a fresh Hilbert-Schmidt state from seed + trial index, so results do
     not depend on evaluation order.  Returns max(0, worst observed increase).
+    A NaN increase raises ValueError.
     """
     _require_free_channel(channel)
     return _monotonicity_scan(measure, partition, channel, trials, seed)[0]
@@ -117,7 +174,9 @@ def strong_monotonicity_probe(measure, partition: BlockPartition, channel: Kraus
     """Worst increase of the selective average sum_i q_i measure(sigma_i).
 
     Branch probabilities and post-measurement states come from the selective
-    channel action; branches with vanishing probability are skipped.
+    channel action; branches with probability at most PROB_TOL count zero.
+    ``measure`` takes stacks, as in monotonicity_probe; here a stack of shape
+    (T, n, d, d) for n operators.
     """
     _require_free_channel(channel)
     return _strong_monotonicity_scan(measure, partition, channel, trials, seed)[0]
@@ -127,7 +186,8 @@ def convexity_probe(measure, partition: BlockPartition,
                     trials: int = 500, seed: int = 0) -> float:
     """Worst convexity violation measure(mix) - sum_i p_i measure(rho_i).
 
-    Each trial mixes 2 to 4 random states with Dirichlet weights.
+    Each trial mixes 2 to 4 random states with Dirichlet weights.  ``measure``
+    takes stacks, as in monotonicity_probe.
     """
     return _convexity_scan(measure, partition, trials, seed)[0]
 

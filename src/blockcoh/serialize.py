@@ -71,11 +71,22 @@ def partition_from_json(obj) -> BlockPartition:
         raise SchemaError(f"bad partition {obj!r}: {exc}") from exc
 
 
+def _dim_from_json(obj: dict, default):
+    """The "dim" field as an int, ``default`` when it is absent."""
+    if "dim" not in obj:
+        return default
+    raw = obj["dim"]
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise SchemaError(f'"dim" must be an integer, got {raw!r}') from None
+
+
 def state_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise SchemaError('state file must be an object with "dim" and "matrix"')
     mat = matrix_from_json(obj["matrix"], "state matrix")
-    dim = int(obj.get("dim", mat.shape[0]))
+    dim = _dim_from_json(obj, mat.shape[0])
     if mat.shape != (dim, dim):
         raise SchemaError(f"state matrix is {mat.shape[0]}x{mat.shape[1]}, expected {dim}x{dim}")
     return mat
@@ -93,7 +104,7 @@ def kraus_from_json(obj) -> KrausSet:
     if not isinstance(obj, dict) or "kraus" not in obj or "partition" not in obj:
         raise SchemaError('Kraus file must be an object with "dim", "partition" and "kraus"')
     partition = partition_from_json(obj["partition"])
-    dim = int(obj.get("dim", partition.total))
+    dim = _dim_from_json(obj, partition.total)
     if dim != partition.total:
         raise SchemaError(f"dim {dim} does not match partition total {partition.total}")
     if not isinstance(obj["kraus"], list) or not obj["kraus"]:
@@ -119,10 +130,10 @@ def povm_from_json(obj) -> Povm:
     if not isinstance(obj["effects"], list) or not obj["effects"]:
         raise SchemaError('"effects" must be a nonempty array of matrices')
     effects = []
-    dim = obj.get("dim")
+    dim = _dim_from_json(obj, None)
     for i, raw in enumerate(obj["effects"]):
         e = matrix_from_json(raw, f"effect {i}")
-        if dim is not None and e.shape != (int(dim), int(dim)):
+        if dim is not None and e.shape != (dim, dim):
             raise SchemaError(f"effect {i} is {e.shape[0]}x{e.shape[1]}, expected {dim}x{dim}")
         effects.append(e)
     try:

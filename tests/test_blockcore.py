@@ -179,3 +179,9 @@ def test_validate_density_matrix():
         validate_density_matrix(bad)
     with pytest.raises(ValueError, match="square"):
         validate_density_matrix(np.ones((2, 3)))
+    # NaN fails every comparison, so it must be rejected explicitly
+    for value in (np.nan, np.inf, complex(0.0, np.nan)):
+        bad = rho.copy()
+        bad[1, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density_matrix(bad)

@@ -17,6 +17,7 @@ from blockcoh.channels import (
     KrausSet,
     PbioConstructionError,
     PbioSpec,
+    CPTP_TOL,
     apply_channel,
     apply_selective,
     bio_semantic_deviation,
@@ -80,6 +81,37 @@ def test_apply_channel_examples():
     assert np.allclose(apply_channel(projector_set(P23), rho), block_dephase(P23, rho))
     with pytest.raises(ValueError):
         apply_channel(identity, np.eye(4))
+
+
+def test_apply_channel_on_stacks_matches_einsum():
+    for dims in [(2, 3), (1, 1, 1, 1), (4, 4, 4), (1, 15)]:
+        p = BlockPartition(dims)
+        ks = gen_random("bio", p, 4)
+        rhos = np.stack([random_density_matrix(p.total, s) for s in range(6)]).reshape(2, 3, p.total, p.total)
+        out = apply_channel(ks, rhos)
+        assert out.shape == rhos.shape
+        for idx in np.ndindex(2, 3):
+            ref = np.einsum("nij,jk,nlk->il", ks.operators, rhos[idx], ks.operators.conj())
+            assert np.max(np.abs(out[idx] - ref)) <= 1e-14
+            assert np.array_equal(out[idx], apply_channel(ks, rhos[idx]))
+    with pytest.raises(ValueError):
+        apply_channel(ks, np.zeros((3, 4, 4)))
+
+
+def test_cptp_deviation_matches_einsum():
+    sets = [gen_random(kind, BlockPartition(dims), seed)
+            for kind in ("bio", "sbio", "pbio", "unitary")
+            for dims in [(2, 3), (1, 1, 1), (4, 4, 4), (1, 15)]
+            for seed in range(3)]
+    sets += [KrausSet(P23, random_cptp(5, 3, seed)) for seed in range(3)]
+    # incomplete sets, some within the tolerance and some outside it
+    sets += [KrausSet(ks.partition, ks.operators * (1 + eps))
+             for ks in sets[:6] for eps in (1e-12, 1e-6)]
+    for ks in sets:
+        total = np.einsum("nji,njk->ik", ks.operators.conj(), ks.operators)
+        ref = float(np.max(np.abs(total - np.eye(ks.dim))))
+        assert abs(cptp_deviation(ks) - ref) <= 1e-14
+        assert verify_cptp(ks) == (ref <= CPTP_TOL)
 
 
 def test_apply_selective_frozen():

@@ -6,7 +6,7 @@ import pytest
 from blockcoh.blockcore import BlockPartition, block_projectors
 from blockcoh.channels import KrausSet, classifier_report, gen_random
 from blockcoh.cli import main
-from blockcoh.sampling import haar_unitary, random_povm
+from blockcoh.sampling import haar_unitary, random_density_matrix, random_povm
 from blockcoh.serialize import kraus_to_json, matrix_to_json, povm_to_json
 from blockcoh.naimark import Povm
 
@@ -273,3 +273,40 @@ def test_sbio_violators_where_first_block_is_largest(capsys):
                            "--trials", "10")
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+
+def test_unconvertible_flag_values_are_one_json_line(tmp_path, capsys):
+    p = BlockPartition((2, 3))
+    path = write_kraus(tmp_path / "proj.json", KrausSet(p, np.array(block_projectors(p))))
+    for argv in (
+        ["verify", "inclusion", "--trials", "abc"],
+        ["verify", "inclusion", "--partition", "2,x"],
+        ["classify", path, "--tol", "-1e-3"],  # read as a flag, so --tol has no value
+        ["verify", "no-such-suite"],
+        ["no-such-command"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code != 0
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err)["kind"] == "parse"
+
+
+def test_malformed_dim_is_a_parse_error(tmp_path, capsys):
+    p = BlockPartition((1, 1))
+    state = {"dim": 2, "matrix": matrix_to_json(random_density_matrix(2, 0))}
+    kraus = kraus_to_json(KrausSet(p, np.array(block_projectors(p))))
+    povm = povm_to_json(Povm(random_povm(2, 2, 0)))
+    for dim in ("two", [2], None):
+        for name, obj, argv in (
+            ("state", state, ["measure", "--partition", "1,1", "--state"]),
+            ("kraus", kraus, ["classify"]),
+            ("povm", povm, ["dilate"]),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dict(obj, dim=dim)))
+            code, out, err = run(capsys, *argv, str(path))
+            assert code == 1 and out == ""
+            message = json.loads(err)
+            assert message["kind"] == "parse" and '"dim"' in message["error"], (name, dim)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from blockcoh import measures
 from blockcoh.blockcore import (
     BlockPartition,
     block_dephase,
     block_projectors,
     is_block_incoherent,
 )
-from blockcoh.channels import KrausSet, gen_random
+from blockcoh.channels import PROB_TOL, KrausSet, gen_random
 from blockcoh.measures import (
+    PROBE_CHUNK,
     convexity_probe,
     l1_block_coherence,
     monotonicity_probe,
@@ -42,6 +44,12 @@ def test_entropy_examples():
 def test_entropy_rejects_negative_input():
     with pytest.raises(ValueError, match="positive"):
         von_neumann_entropy(np.diag([1.2, -0.2]))
+    # one bad state in a stack is enough
+    with pytest.raises(ValueError, match="positive"):
+        von_neumann_entropy(np.stack([np.eye(2) / 2, np.diag([1.2, -0.2])]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            von_neumann_entropy(np.diag([bad, 0.5]))
 
 
 def test_rel_entropy_examples():
@@ -204,3 +212,140 @@ def test_convexity_probe():
     mix = 0.25 * a + 0.75 * b
     assert l1_block_coherence(P23, mix) == 0.0
     assert rel_entropy_block_coherence(P23, mix) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference: the probes as one trial, one state and one measure call at
+# a time, with the channel applied one operator at a time.
+# ---------------------------------------------------------------------------
+
+def reference_apply_channel(ks, rho):
+    return sum(op @ rho @ op.conj().T for op in ks.operators)
+
+
+def reference_branches(ks, rho):
+    branches = []
+    for op in ks.operators:
+        out = op @ rho @ op.conj().T
+        q = float(np.trace(out).real)
+        if q > PROB_TOL:
+            branches.append((q, out / q))
+    return branches
+
+
+def reference_monotonicity_scan(measure, partition, channel, trials, seed):
+    worst, offender = 0.0, None
+    for t in range(trials):
+        rho = random_density_matrix(partition.total, seed + t)
+        gain = measure(partition, reference_apply_channel(channel, rho)) - measure(partition, rho)
+        if gain > worst:
+            worst, offender = gain, rho
+    return worst, offender
+
+
+def reference_strong_monotonicity_scan(measure, partition, channel, trials, seed):
+    worst, offender = 0.0, None
+    for t in range(trials):
+        rho = random_density_matrix(partition.total, seed + t)
+        avg = sum(q * measure(partition, sigma) for q, sigma in reference_branches(channel, rho))
+        gain = avg - measure(partition, rho)
+        if gain > worst:
+            worst, offender = gain, rho
+    return worst, offender
+
+
+def reference_convexity_scan(measure, partition, trials, seed):
+    worst, offender = 0.0, None
+    for t in range(trials):
+        rng = np.random.default_rng(seed + t)
+        parts = int(rng.integers(2, 5))
+        weights = rng.dirichlet(np.ones(parts))
+        states = [random_density_matrix(partition.total, rng) for _ in range(parts)]
+        mix = sum(p * s for p, s in zip(weights, states))
+        gap = measure(partition, mix) - sum(
+            p * measure(partition, s) for p, s in zip(weights, states)
+        )
+        if gap > worst:
+            worst, offender = gap, mix
+    return worst, offender
+
+
+ORACLE_PARTITIONS = [(2, 3), (1, 1, 1, 1), (4, 4, 4), (1, 2, 2), (1, 15)]
+
+
+def negation(measure):
+    def negated(partition, rho):
+        return -measure(partition, rho)
+
+    return negated
+
+
+def test_batched_probes_match_scalar_reference():
+    # trial counts that are not multiples of the chunk, so the last chunk is short
+    trials, convex_trials = PROBE_CHUNK + 13, PROBE_CHUNK + 5
+    mismatches, worst_diff, positive = 0, 0.0, 0
+    for dims in ORACLE_PARTITIONS:
+        p = BlockPartition(dims)
+        channels = [gen_random("bio", p, seed) for seed in range(2)]
+        channels.append(KrausSet(p, np.array(block_projectors(p))))
+        for base in (rel_entropy_block_coherence, l1_block_coherence):
+            for measure in (base, negation(base)):
+                runs = [
+                    (scan(measure, p, ch, trials, 11), ref(measure, p, ch, trials, 11))
+                    for ch in channels
+                    for scan, ref in (
+                        (measures._monotonicity_scan, reference_monotonicity_scan),
+                        (measures._strong_monotonicity_scan, reference_strong_monotonicity_scan),
+                    )
+                ]
+                runs.append((measures._convexity_scan(measure, p, convex_trials, 3),
+                             reference_convexity_scan(measure, p, convex_trials, 3)))
+                for (worst, offender), (ref_worst, ref_offender) in runs:
+                    worst_diff = max(worst_diff, abs(worst - ref_worst))
+                    positive += ref_worst > 0.0
+                    same = (offender is None and ref_offender is None) or (
+                        offender is not None and ref_offender is not None
+                        and np.array_equal(offender, ref_offender))
+                    mismatches += not same
+    assert mismatches == 0
+    assert worst_diff <= 1e-12
+    # the negated measures gain on most runs, so offenders are compared, not only zeros
+    assert positive >= 40
+
+
+def test_stacked_measures_equal_scalar_calls():
+    rng = np.random.default_rng(5)
+    for dims in ORACLE_PARTITIONS:
+        p = BlockPartition(dims)
+        d = p.total
+        states = np.stack([random_density_matrix(d, rng) for _ in range(6)]).reshape(2, 3, d, d)
+        states[0, 1] = block_dephase(p, states[0, 1])  # a free state, with a zero gap
+        fns = [
+            lambda rho: von_neumann_entropy(rho),
+            lambda rho: rel_entropy_block_coherence(p, rho),
+            lambda rho: l1_block_coherence(p, rho),
+        ]
+        for fn in fns:
+            stacked = fn(states)
+            assert stacked.shape == (2, 3)
+            scalar = [[fn(rho) for rho in row] for row in states]
+            assert all(isinstance(v, float) for row in scalar for v in row)
+            assert np.array_equal(stacked, np.array(scalar))
+    with pytest.raises(ValueError, match="shape"):
+        rel_entropy_block_coherence(P23, np.zeros((3, 4, 4)))
+
+
+def test_nan_gain_does_not_hide_a_violation():
+    # the negated measure gains on every trial under dephasing; trial 1 reads NaN
+    dephasing = KrausSet(P23, np.array(block_projectors(P23)))
+    marked = random_density_matrix(5, 1)
+
+    def measure(partition, rho):
+        values = -rel_entropy_block_coherence(partition, rho)
+        return np.where(np.all(rho == marked, axis=(-2, -1)), np.nan, values)
+
+    clean = negation(rel_entropy_block_coherence)
+    for probe in (monotonicity_probe, strong_monotonicity_probe):
+        assert probe(clean, P23, dephasing, trials=10, seed=0) > 0.1
+        with pytest.raises(ValueError, match="NaN in trial 1"):
+            probe(measure, P23, dephasing, trials=10, seed=0)
