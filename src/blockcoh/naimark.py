@@ -14,6 +14,7 @@ byte and exactly reproduces every outcome probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,8 +84,34 @@ class NaimarkExtension:
     system_dim: int
     outcomes: int
     global_unitary: np.ndarray        # (d*n, d*n)
-    pvm: np.ndarray                   # (n, d*n, d*n) rank-d projectors
     ancilla_state_index: int = 0      # the ancilla starts in this basis state
+
+    def __post_init__(self):
+        big = self.system_dim * self.outcomes
+        self.global_unitary = np.asarray(self.global_unitary)
+        if self.global_unitary.shape != (big, big):
+            raise ValueError(
+                f"global unitary is {self.global_unitary.shape}, expected ({big}, {big})"
+            )
+        if not 0 <= self.ancilla_state_index < self.outcomes:
+            raise ValueError(
+                f"ancilla state index {self.ancilla_state_index} is outside 0..{self.outcomes - 1}"
+            )
+
+    @cached_property
+    def pvm(self) -> np.ndarray:
+        """Rank-d projectors P_i = V^dag (I (x) |i><i|) V, shape (n, d*n, d*n).
+
+        Built from V on first access and kept; nothing in the dilation or its
+        verification reads them.
+        """
+        v, n = self.global_unitary, self.outcomes
+        big = v.shape[0]
+        pvm = np.empty((n, big, big), dtype=complex)
+        for i in range(n):
+            rows = v[i::n, :]
+            pvm[i] = rows.conj().T @ rows
+        return pvm
 
 
 def dilate(povm: Povm) -> NaimarkExtension:
@@ -96,7 +123,8 @@ def dilate(povm: Povm) -> NaimarkExtension:
     columns are completed by ordered Gram-Schmidt over the canonical basis
     vectors of the global space, smallest index first, re-orthogonalized
     twice so the completion is deterministic and numerically tight.  The
-    returned projectors are P_i = V^dag (I (x) |i><i|) V.
+    projectors P_i = V^dag (I (x) |i><i|) V are built from V only when the
+    extension's ``pvm`` is read.
     """
     mops = measurement_operators(povm)
     d, n = povm.dim, povm.n_outcomes
@@ -128,12 +156,7 @@ def dilate(povm: Povm) -> NaimarkExtension:
         basis = np.concatenate([basis, cand[:, None]], axis=1)
         filled += 1
     assert filled == len(remaining), "orthonormal completion of the dilation failed"
-
-    pvm = np.empty((n, big, big), dtype=complex)
-    for i in range(n):
-        rows = v[i::n, :]
-        pvm[i] = rows.conj().T @ rows
-    return NaimarkExtension(system_dim=d, outcomes=n, global_unitary=v, pvm=pvm, ancilla_state_index=anc)
+    return NaimarkExtension(system_dim=d, outcomes=n, global_unitary=v, ancilla_state_index=anc)
 
 
 def verify_dilation(povm: Povm, ext: NaimarkExtension, trials: int = 100, seed: int = 0) -> float:
@@ -141,24 +164,25 @@ def verify_dilation(povm: Povm, ext: NaimarkExtension, trials: int = 100, seed: 
 
     Over ``trials`` random states returns
     max_i |tr(E_i rho) - tr(P_i (rho (x) |a><a|))| with the fixed ancilla
-    state a.  The two paths agree analytically, so the return value is pure
-    floating-point noise for a faithful dilation.
+    state a.  The dilated side is evaluated as tr(C_i rho), where
+    C_i = M_i^dag M_i with M_i = V[i::n, a::n] is the block of P_i on the
+    ancilla-a subspace, read from V and not from the effects.  The two paths
+    agree analytically, so the return value is pure floating-point noise for
+    a faithful dilation.
     """
     d, n = povm.dim, povm.n_outcomes
     if ext.system_dim != d or ext.outcomes != n:
         raise ValueError("extension does not match the POVM dimensions")
-    anc = np.zeros((n, n), dtype=complex)
-    anc[ext.ancilla_state_index, ext.ancilla_state_index] = 1.0
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    # rows x*n + i of column block a::n, regrouped as M[i][x, :]
+    mops = ext.global_unitary[:, ext.ancilla_state_index::n].reshape(d, n, d).swapaxes(0, 1)
+    compressed = mops.conj().swapaxes(-2, -1) @ mops
     rng = as_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        rho = random_density_matrix(d, rng)
-        big_rho = np.kron(rho, anc)
-        for i in range(n):
-            direct = float(np.trace(povm.effects[i] @ rho).real)
-            dilated = float(np.trace(ext.pvm[i] @ big_rho).real)
-            worst = max(worst, abs(direct - dilated))
-    return worst
+    rhos = np.stack([random_density_matrix(d, rng) for _ in range(trials)])[:, None]
+    direct = np.trace(povm.effects @ rhos, axis1=-2, axis2=-1).real
+    dilated = np.trace(compressed @ rhos, axis1=-2, axis2=-1).real
+    return float(np.max(np.abs(direct - dilated)))
 
 
 def induced_partition(povm: Povm) -> tuple[BlockPartition, np.ndarray]:

@@ -72,14 +72,17 @@ def partition_from_json(obj) -> BlockPartition:
 
 
 def _dim_from_json(obj: dict, default):
-    """The "dim" field as an int, ``default`` when it is absent."""
+    """The "dim" field as an int, ``default`` when it is absent.
+
+    Only a JSON integer is accepted; a float such as 2.7, a boolean or a
+    string is a SchemaError, never truncated or converted.
+    """
     if "dim" not in obj:
         return default
     raw = obj["dim"]
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f'"dim" must be an integer, got {raw!r}') from None
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise SchemaError(f'"dim" must be an integer, got {raw!r}')
+    return raw
 
 
 def state_from_json(obj) -> np.ndarray:

@@ -298,7 +298,7 @@ def test_malformed_dim_is_a_parse_error(tmp_path, capsys):
     state = {"dim": 2, "matrix": matrix_to_json(random_density_matrix(2, 0))}
     kraus = kraus_to_json(KrausSet(p, np.array(block_projectors(p))))
     povm = povm_to_json(Povm(random_povm(2, 2, 0)))
-    for dim in ("two", [2], None):
+    for dim in ("two", [2], None, 2.7, True, "3"):
         for name, obj, argv in (
             ("state", state, ["measure", "--partition", "1,1", "--state"]),
             ("kraus", kraus, ["classify"]),

@@ -66,7 +66,11 @@ def test_sbio_bound_frozen_values():
 
 
 def test_sbio_bound_against_brute_enumeration():
-    for dims in [(1, 1, 1), (2, 2), (2, 3), (1, 2, 2), (3, 1, 2)]:
+    for dims in [
+        (1, 1, 1), (2, 2), (2, 3), (1, 2, 2), (3, 1, 2),
+        (1,) * 6, (3, 1, 2, 1, 2, 1), (1,) * 7, (2, 1, 2, 1, 2, 1, 2),
+        (1,) * 8, (2, 1, 1, 2, 1, 1, 2, 1),
+    ]:
         report = sbio_bound(BlockPartition(dims))
         for p in range(1, len(dims) + 1):
             assert report.per_level[p - 1] == brute_sbio_level(dims, p)

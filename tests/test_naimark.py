@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,34 @@ from blockcoh.naimark import (
     measurement_operators,
     verify_dilation,
 )
-from blockcoh.sampling import random_density_matrix, random_povm
+from blockcoh.sampling import as_rng, random_density_matrix, random_povm
+
+
+def reference_verify_dilation(povm, ext, trials=100, seed=0):
+    # the full-space path: tr(P_i (rho (x) |a><a|)) on the dn x dn projectors
+    d, n = povm.dim, povm.n_outcomes
+    anc = np.zeros((n, n), dtype=complex)
+    anc[ext.ancilla_state_index, ext.ancilla_state_index] = 1.0
+    rng = as_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        rho = random_density_matrix(d, rng)
+        big_rho = np.kron(rho, anc)
+        for i in range(n):
+            direct = float(np.trace(povm.effects[i] @ rho).real)
+            dilated = float(np.trace(ext.pvm[i] @ big_rho).real)
+            worst = max(worst, abs(direct - dilated))
+    return worst
+
+
+def stored_projectors(v, n):
+    # the per-outcome stack dilate used to store
+    big = v.shape[0]
+    pvm = np.empty((n, big, big), dtype=complex)
+    for i in range(n):
+        rows = v[i::n, :]
+        pvm[i] = rows.conj().T @ rows
+    return pvm
 
 
 def trine_povm():
@@ -128,9 +157,80 @@ def test_projective_input_reproduces_probabilities():
 
 def test_verify_dilation_dimension_check():
     povm = Povm(np.array([np.eye(2) / 2, np.eye(2) / 2]))
-    wrong = NaimarkExtension(3, 2, np.eye(6), np.zeros((2, 6, 6)))
+    wrong = NaimarkExtension(3, 2, np.eye(6))
     with pytest.raises(ValueError):
         verify_dilation(povm, wrong)
+
+
+def test_verify_dilation_matches_full_space_reference():
+    # the d x d compressed projectors against the dn x dn kron path, on
+    # faithful dilations and on broken ones, where both must report the same
+    # large mismatch
+    cases = [((d, d), 8) for d in (1, 2, 4, 8, 16)] + [((4, 16), 4), ((16, 4), 4)]
+    rng = np.random.default_rng(11)
+    cases += [((int(rng.integers(1, 9)), int(rng.integers(1, 9))), 6) for _ in range(400)]
+    broken_seen = 0
+    for case, ((d, n), trials) in enumerate(cases):
+        povm = Povm(random_povm(d, n, case))
+        ext = dilate(povm)
+        fast = verify_dilation(povm, ext, trials=trials, seed=case)
+        assert fast <= 1e-10
+        assert abs(fast - reference_verify_dilation(povm, ext, trials, case)) <= 1e-14, (d, n)
+        if n > 1 and d < 16:
+            shifted = dataclasses.replace(ext, ancilla_state_index=1)
+            v = ext.global_unitary.copy()
+            v[:, 0] *= 1.01
+            scaled = dataclasses.replace(ext, global_unitary=v)
+            for bad in (shifted, scaled):
+                want = reference_verify_dilation(povm, bad, trials, case)
+                assert abs(verify_dilation(povm, bad, trials=trials, seed=case) - want) <= 1e-14
+                broken_seen += want > 1e-3
+    assert broken_seen > 300
+
+
+def test_verify_dilation_fails_on_broken_dilations():
+    for d, n, seed in ((2, 3, 0), (3, 2, 1), (4, 4, 2)):
+        povm = Povm(random_povm(d, n, seed))
+        ext = dilate(povm)
+        assert verify_dilation(povm, ext, trials=20, seed=seed) <= 1e-12
+        v = ext.global_unitary.copy()
+        v[:, ext.ancilla_state_index] += 0.05  # perturb one column of V[:, a::n]
+        perturbed = dataclasses.replace(ext, global_unitary=v)
+        assert verify_dilation(povm, perturbed, trials=20, seed=seed) > 1e-3
+        for a in range(1, n):
+            wrong = dataclasses.replace(ext, ancilla_state_index=a)
+            assert verify_dilation(povm, wrong, trials=20, seed=seed) > 1e-3
+
+
+def test_verify_dilation_rejects_empty_sample():
+    povm = trine_povm()
+    ext = dilate(povm)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            verify_dilation(povm, ext, trials=trials)
+    assert verify_dilation(povm, ext, trials=1) <= 1e-12
+
+
+def test_extension_checks_its_shape_and_ancilla_index():
+    with pytest.raises(ValueError, match="global unitary"):
+        NaimarkExtension(2, 3, np.eye(5))
+    with pytest.raises(ValueError, match="global unitary"):
+        NaimarkExtension(2, 3, np.eye(6)[:, :5])
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="ancilla"):
+            NaimarkExtension(2, 3, np.eye(6), bad)
+    assert NaimarkExtension(2, 3, np.eye(6), 2).ancilla_state_index == 2
+
+
+def test_projectors_are_built_on_request():
+    rng = np.random.default_rng(4)
+    for d, n in ((1, 1), (2, 3), (3, 1), (4, 4), (5, 2)):
+        povm = Povm(random_povm(d, n, rng))
+        ext = dilate(povm)
+        verify_dilation(povm, ext, trials=5, seed=0)
+        assert "pvm" not in vars(ext)
+        assert np.array_equal(ext.pvm, stored_projectors(ext.global_unitary, n))
+        assert ext.pvm is ext.pvm  # built once, then kept
 
 
 def test_induced_partition_examples():
