@@ -100,14 +100,6 @@ def block_projectors(partition: BlockPartition) -> list[np.ndarray]:
     ]
 
 
-def _as_square(partition: BlockPartition, mat, what: str = "matrix") -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
-    d = partition.total
-    if mat.shape != (d, d):
-        raise ValueError(f"{what} has shape {mat.shape}, expected ({d}, {d})")
-    return mat
-
-
 def _as_stack(partition: BlockPartition, rho) -> np.ndarray:
     # one (d, d) state or a stack (..., d, d) of them
     rho = np.asarray(rho, dtype=complex)
@@ -138,19 +130,16 @@ def zero_threshold(scale, tol: float = ZERO_TOL):
     return tol * (1.0 + scale)
 
 
-def max_offblock(partition: BlockPartition, mat) -> float:
-    """Largest entry magnitude outside the diagonal blocks."""
-    mat = _as_square(partition, mat)
-    off = ~block_mask(partition)
-    if not off.any():
-        return 0.0
-    return float(np.max(np.abs(mat[off])))
+def is_block_incoherent(partition: BlockPartition, rho, tol: float = ZERO_TOL):
+    """True when every entry outside the diagonal blocks is effectively zero.
 
-
-def is_block_incoherent(partition: BlockPartition, rho, tol: float = ZERO_TOL) -> bool:
-    """True when every entry outside the diagonal blocks is effectively zero."""
-    rho = _as_square(partition, rho, "state")
-    return max_offblock(partition, rho) <= zero_threshold(float(np.max(np.abs(rho))), tol)
+    ``rho`` is one (d, d) state, giving a bool, or a stack (..., d, d),
+    giving a boolean array of shape (...) with one verdict per state.
+    """
+    rho = np.abs(_as_stack(partition, rho))
+    offblock = rho[..., ~block_mask(partition)].max(axis=-1, initial=0.0)
+    verdict = offblock <= zero_threshold(rho.max(axis=(-2, -1)), tol)
+    return bool(verdict) if verdict.ndim == 0 else verdict
 
 
 def diagonal_block_basis(partition: BlockPartition) -> list[np.ndarray]:

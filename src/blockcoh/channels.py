@@ -30,6 +30,7 @@ generators produce members of each class by construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,28 +213,47 @@ def _mbio_pairs(ks: KrausSet):
     """Same-block pairs of the summed output sum_n K_n|x><y|K_n^dag.
 
     The sum over branches does not factor into block maxima, so each column
-    x takes one Gram contraction against the columns of its block.
+    block takes one Gram contraction of its columns against themselves.
     """
     p, ops = ks.partition, ks.operators
     off = ~block_mask(p)
-    labels = block_labels(p)
-    for x in range(p.total):
-        ys = p.block_slice(labels[x])
-        gram = np.abs(np.tensordot(ops[:, :, x], ops[:, :, ys].conj(), axes=(0, 0)))
+    for l in range(p.num_blocks):
+        cols = ops[:, :, p.block_slice(l)]
+        # gram[a, x, b, y] = sum_n K_n[a, x] conj(K_n[b, y])
+        gram = np.abs(np.tensordot(cols, cols.conj(), axes=(0, 0))).swapaxes(1, 2)
         yield gram[off].max(axis=0, initial=0.0), gram.max(axis=(0, 1))
 
 
 def _holds(pairs, tol: float) -> bool:
+    # stops at the first failing pair array
     return all(np.all(dev <= zero_threshold(scale, tol)) for dev, scale in pairs)
 
 
-def _worst(pairs) -> float:
-    return max((float(dev.max(initial=0.0)) for dev, _ in pairs), default=0.0)
+def _verdict(pairs, tol: float) -> tuple[bool, float]:
+    # one pass over every pair array: (all pairs pass, worst deviation)
+    holds, worst = True, 0.0
+    for dev, scale in pairs:
+        holds = holds and bool(np.all(dev <= zero_threshold(scale, tol)))
+        worst = max(worst, float(dev.max(initial=0.0)))
+    return holds, worst
+
+
+def semantic_verdict(ks: KrausSet, strict: bool = False,
+                     tol: float = ZERO_TOL) -> tuple[bool, float]:
+    """(verdict, worst deviation) of the BIO or, if ``strict``, SBIO semantic check.
+
+    Both come from one pass over the block-maxima reductions; the is_*_semantic
+    predicates and the *_semantic_deviation values are its two halves.
+    """
+    pairs = _bio_pairs(ks)
+    if strict:
+        pairs = itertools.chain(pairs, _cross_pairs(ks))
+    return _verdict(pairs, tol)
 
 
 def bio_semantic_deviation(ks: KrausSet) -> float:
     """Worst cross-block magnitude of K B K^dag over the diagonal-block basis."""
-    return _worst(_bio_pairs(ks))
+    return semantic_verdict(ks)[1]
 
 
 def is_bio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
@@ -243,12 +263,12 @@ def is_bio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     elementary B = |x><y| with x, y in the same block.  By linearity this is
     equivalent to the same condition for the diagonal blocks of all states.
     """
-    return _holds(_bio_pairs(ks), tol)
+    return semantic_verdict(ks, tol=tol)[0]
 
 
 def sbio_semantic_deviation(ks: KrausSet) -> float:
     """Worst residual over both branch-level conditions of the strict class."""
-    return max(_worst(_bio_pairs(ks)), _worst(_cross_pairs(ks)))
+    return semantic_verdict(ks, strict=True)[1]
 
 
 def is_sbio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
@@ -258,12 +278,12 @@ def is_sbio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     B' = |x><y| with x, y in different blocks, which by linearity is the same
     as each branch commuting with the block-dephasing map.
     """
-    return _holds(_bio_pairs(ks), tol) and _holds(_cross_pairs(ks), tol)
+    return semantic_verdict(ks, strict=True, tol=tol)[0]
 
 
 def mbio_deviation(ks: KrausSet) -> float:
     """Worst cross-block magnitude of the full channel output over the free basis."""
-    return _worst(_mbio_pairs(ks))
+    return _verdict(_mbio_pairs(ks), ZERO_TOL)[1]
 
 
 def is_mbio(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
@@ -274,16 +294,14 @@ def is_mbio(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
 def sbio_commutation_deviation(ks: KrausSet, rho) -> float:
     """Max entry of dephase(K rho K^dag) - K dephase(rho) K^dag over branches.
 
-    ``rho`` may be a single (d, d) state or a batch (..., d, d).
+    ``rho`` may be a single (d, d) state or a batch (..., d, d).  Both sides
+    are branch_outputs products, K_n rho K_n^dag and K_n dephase(rho) K_n^dag,
+    so the value agrees with a direct einsum contraction to rounding; it is
+    zero up to rounding for a strict-class set and need not be for others.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (ks.dim, ks.dim):
-        raise ValueError(f"state has shape {rho.shape}, expected (..., {ks.dim}, {ks.dim})")
     mask = block_mask(ks.partition)
-    ops = ks.operators
-    out = np.einsum("nij,...jk,nlk->...nil", ops, rho, ops.conj())
-    lhs = out * mask
-    rhs = np.einsum("nij,...jk,nlk->...nil", ops, rho * mask, ops.conj())
+    lhs = branch_outputs(ks, rho) * mask
+    rhs = branch_outputs(ks, _as_stack(ks.partition, rho) * mask)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -366,16 +384,23 @@ def has_scaled_isometry_blocks(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     equal, which is what the physical construction promises block by block.
     """
     p = ks.partition
-    for n, r, c in np.argwhere(_nonzero_blocks(ks.operators, p, tol)):
-        blk = ks.operators[n][p.block_slice(r), p.block_slice(c)]
-        gram = blk.conj().T @ blk
-        thr = zero_threshold(float(np.max(np.abs(gram))), tol)
-        offdiag = gram - np.diag(np.diag(gram))
-        if float(np.max(np.abs(offdiag))) > thr:
-            return False
-        diag = np.diag(gram).real
-        live = diag[diag > thr]
-        if live.size and float(live.max() - live.min()) > thr:
+    dims, offsets = np.array(p.dims), np.array(p.offsets)
+    n, r, c = np.nonzero(_nonzero_blocks(ks.operators, p, tol))
+    # one stacked Gram product per (row size, column size) of nonzero block
+    for dr, dc in set(zip(dims[r].tolist(), dims[c].tolist())):
+        pick = (dims[r] == dr) & (dims[c] == dc)
+        rows = offsets[r[pick], None] + np.arange(dr)
+        cols = offsets[c[pick], None] + np.arange(dc)
+        blks = ks.operators[n[pick, None, None], rows[:, :, None], cols[:, None, :]]
+        gram = blks.conj().swapaxes(-1, -2) @ blks
+        mag = np.abs(gram)
+        thr = zero_threshold(mag.max(axis=(1, 2)), tol)
+        diag = gram.diagonal(axis1=1, axis2=2).real
+        mag[:, range(dc), range(dc)] = 0.0  # leaves the off-diagonal magnitudes
+        live = diag > thr[:, None]
+        spread = (diag.max(axis=1, where=live, initial=-np.inf)
+                  - diag.min(axis=1, where=live, initial=np.inf))
+        if np.any(mag.max(axis=(1, 2)) > thr) or np.any(spread > thr):
             return False
     return True
 
@@ -399,11 +424,11 @@ def build_pbio(spec: PbioSpec) -> KrausSet:
     db = spec.ancilla_partition.total
     kraus = np.zeros((db, da, da), dtype=complex)
     coeff = spec.amplitudes[None, :] * np.exp(1j * spec.phases)
-    for x in range(da):
-        for s in range(db):
-            j = spec.pi_ancilla[x, s]
-            kraus[j, spec.pi_system[x, s], x] += coeff[x, s]
-    keep = [j for j in range(db) if np.max(np.abs(kraus[j])) > 0.0]
+    # pi is a bijection, so every (x, s) term lands on its own entry; adding
+    # onto zeros keeps a signed zero term a +0 entry
+    x = np.arange(da)[:, None]
+    kraus[spec.pi_ancilla, spec.pi_system, x] += coeff
+    keep = np.abs(kraus).max(axis=(1, 2)) > 0.0
     ks = KrausSet(spec.system_partition, kraus[keep])
     dev = cptp_deviation(ks)
     if dev > CPTP_TOL:
@@ -447,7 +472,6 @@ def _kraus_from_block_patterns(partition: BlockPartition, patterns, rng) -> np.n
     d = partition.total
     n_ops = len(patterns)
     stacked = np.zeros((n_ops * d, d), dtype=complex)
-    accepted = np.zeros((n_ops * d, 0), dtype=complex)
     for c in range(partition.num_blocks):
         rows = []
         for n, pat in enumerate(patterns):
@@ -455,17 +479,14 @@ def _kraus_from_block_patterns(partition: BlockPartition, patterns, rng) -> np.n
                 sl = partition.block_slice(r)
                 rows.extend(range(n * d + sl.start, n * d + sl.stop))
         rows = np.array(rows, dtype=int)
-        dc = partition.dims[c]
-        basis = _nullspace(accepted[rows, :].conj().T, len(rows))
+        start, dc = partition.offsets[c], partition.dims[c]
+        # the columns fixed so far are exactly stacked[:, :start]
+        basis = _nullspace(stacked[rows, :start].conj().T, len(rows))
         if basis.shape[1] < dc:
             raise RuntimeError(f"pattern leaves column block {c} infeasible")
         w = basis @ ginibre(rng, basis.shape[1], dc)
         q, _ = np.linalg.qr(w)
-        cs = partition.block_slice(c)
-        stacked[np.ix_(rows, range(cs.start, cs.stop))] = q
-        widened = np.zeros((n_ops * d, dc), dtype=complex)
-        widened[rows, :] = q
-        accepted = np.concatenate([accepted, widened], axis=1)
+        stacked[rows, start:start + dc] = q
     return stacked.reshape(n_ops, d, d)
 
 

@@ -36,8 +36,8 @@ import sys
 import numpy as np
 
 from . import channels, counting, measures, naimark, serialize
-from .blockcore import BlockPartition, is_block_incoherent, validate_density_matrix
-from .sampling import random_block_incoherent_state, random_density_matrix, random_povm
+from .blockcore import BlockPartition, block_dephase, is_block_incoherent, validate_density_matrix
+from .sampling import random_density_matrices, random_povm
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200
@@ -145,15 +145,14 @@ def _suite_appendix(partition: BlockPartition, seed: int, trials: int, strict: b
     suite = _Suite()
     kind = "sbio" if strict else "bio"
     structural = channels.is_sbio_structural if strict else channels.is_bio_structural
-    semantic = channels.is_sbio_semantic if strict else channels.is_bio_semantic
-    deviation = channels.sbio_semantic_deviation if strict else channels.bio_semantic_deviation
 
+    sets = [channels.gen_random(kind, partition, seed + t) for t in range(trials)]
     worst = 0.0
     all_ok = True
-    for t in range(trials):
-        ks = channels.gen_random(kind, partition, seed + t)
-        all_ok = all_ok and channels.verify_cptp(ks) and structural(ks) and semantic(ks)
-        worst = max(worst, deviation(ks))
+    for ks in sets:
+        semantic, deviation = channels.semantic_verdict(ks, strict)
+        all_ok = all_ok and channels.verify_cptp(ks) and structural(ks) and semantic
+        worst = max(worst, deviation)
     suite.check(
         f"{kind}-structural-implies-semantic",
         all_ok and worst <= 1e-9,
@@ -163,7 +162,7 @@ def _suite_appendix(partition: BlockPartition, seed: int, trials: int, strict: b
     rejected = 0
     for t in range(trials):
         bad = channels.gen_pattern_violating(kind, partition, seed + 10_000 + t)
-        if not semantic(bad):
+        if not channels.semantic_verdict(bad, strict)[0]:
             rejected += 1
     suite.check(
         f"{kind}-pattern-violations-rejected",
@@ -172,13 +171,11 @@ def _suite_appendix(partition: BlockPartition, seed: int, trials: int, strict: b
     )
 
     if strict:
+        # the sets above, each with 10 states from seeds seed + 20_000 + 10 t + r
         worst_comm = 0.0
-        for t in range(trials):
-            ks = channels.gen_random("sbio", partition, seed + t)
-            rhos = np.stack([
-                random_density_matrix(partition.total, seed + 20_000 + 10 * t + r)
-                for r in range(10)
-            ])
+        for t, ks in enumerate(sets):
+            first = seed + 20_000 + 10 * t
+            rhos = random_density_matrices(partition.total, range(first, first + 10))
             worst_comm = max(worst_comm, channels.sbio_commutation_deviation(ks, rhos))
         suite.check(
             "sbio-commutes-with-dephasing",
@@ -240,13 +237,12 @@ def _suite_naimark(seed: int, trials: int) -> _Suite:
             float(np.max(np.abs(v.conj().T @ v - np.eye(big)))),
             float(np.max(np.abs(v @ v.conj().T - np.eye(big)))),
         )
-        for i in range(n):
-            for j in range(n):
-                want = ext.pvm[i] if i == j else np.zeros((big, big))
-                worst_pvm = max(
-                    worst_pvm, float(np.max(np.abs(ext.pvm[i] @ ext.pvm[j] - want)))
-                )
-        worst_pvm = max(worst_pvm, float(np.max(np.abs(ext.pvm.sum(axis=0) - np.eye(big)))))
+        # P_i P_j should be P_i on the diagonal and zero off it
+        pvm = ext.pvm
+        products = pvm[:, None] @ pvm[None]
+        products[np.arange(n), np.arange(n)] -= pvm
+        worst_pvm = max(worst_pvm, float(np.max(np.abs(products))))
+        worst_pvm = max(worst_pvm, float(np.max(np.abs(pvm.sum(axis=0) - np.eye(big)))))
         worst_prob = max(worst_prob, naimark.verify_dilation(povm, ext, trials=20, seed=seed + t))
     suite.check("dilation-unitary", worst_unitary <= 1e-9, f"worst_dev={worst_unitary:.3e}")
     suite.check("dilation-pvm-properties", worst_pvm <= 1e-9, f"worst_dev={worst_pvm:.3e}")
@@ -254,19 +250,24 @@ def _suite_naimark(seed: int, trials: int) -> _Suite:
     return suite
 
 
+def _faithful(partition: BlockPartition, states) -> np.ndarray:
+    """Per state of a stack: each measure vanishes exactly when the state is free."""
+    incoherent = is_block_incoherent(partition, states, 1e-8)
+    return np.all([
+        (measure(partition, states) <= 1e-9) == incoherent
+        for measure in (measures.rel_entropy_block_coherence, measures.l1_block_coherence)
+    ], axis=0)
+
+
 def _suite_measures(seed: int, trials: int) -> _Suite:
     suite = _Suite()
     partitions = [BlockPartition(p) for p in ((1, 1), (2, 3), (1, 2, 2))]
     faithful = True
     for p in partitions:
-        for t in range(trials):
-            rho = random_density_matrix(p.total, seed + t)
-            free = random_block_incoherent_state(p, seed + 5_000 + t)
-            for state in (rho, free):
-                small = measures.rel_entropy_block_coherence(p, state) <= 1e-9
-                faithful = faithful and (small == is_block_incoherent(p, state, 1e-8))
-                small = measures.l1_block_coherence(p, state) <= 1e-9
-                faithful = faithful and (small == is_block_incoherent(p, state, 1e-8))
+        rhos = random_density_matrices(p.total, range(seed, seed + trials))
+        frees = random_density_matrices(p.total, range(seed + 5_000, seed + 5_000 + trials))
+        for states in (rhos, block_dephase(p, frees)):
+            faithful = faithful and bool(np.all(_faithful(p, states)))
     suite.check("nonnegativity-and-faithfulness", faithful, f"states={2 * trials}/partition")
 
     p = BlockPartition((2, 3))
@@ -301,6 +302,11 @@ def _suite_measures(seed: int, trials: int) -> _Suite:
 def cmd_verify(args) -> tuple[int, str]:
     if args.trials < 1:
         raise serialize.SchemaError(f"--trials must be at least 1, got {args.trials}")
+    if args.suite in ("appendix-a", "appendix-b") and args.partition.num_blocks < 2:
+        raise serialize.SchemaError(
+            f"{args.suite} needs at least two blocks: the single-block partition "
+            f"{args.partition} admits no violating pattern"
+        )
     if args.suite == "appendix-a":
         suite = _suite_appendix(args.partition, args.seed, args.trials, strict=False)
     elif args.suite == "appendix-b":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .blockcore import BlockPartition, _as_stack, block_dephase, block_mask
 from .channels import PROB_TOL, KrausSet, apply_channel, branch_outputs, is_bio_semantic
-from .sampling import random_density_matrix
+from .sampling import random_density_matrices
 
 # Negative eigenvalues beyond this window are treated as invalid input.
 EIG_TOL = 1e-9
@@ -104,13 +104,9 @@ def _scan(trials: int, chunk):
     return worst, offender
 
 
-def _random_states(dim: int, seed: int, ts) -> np.ndarray:
-    return np.stack([random_density_matrix(dim, seed + t) for t in ts])
-
-
 def _monotonicity_scan(measure, partition, channel, trials, seed):
     def chunk(ts):
-        rhos = _random_states(partition.total, seed, ts)
+        rhos = random_density_matrices(partition.total, [seed + t for t in ts])
         return measure(partition, apply_channel(channel, rhos)) - measure(partition, rhos), rhos
 
     return _scan(trials, chunk)
@@ -118,7 +114,7 @@ def _monotonicity_scan(measure, partition, channel, trials, seed):
 
 def _strong_monotonicity_scan(measure, partition, channel, trials, seed):
     def chunk(ts):
-        rhos = _random_states(partition.total, seed, ts)
+        rhos = random_density_matrices(partition.total, [seed + t for t in ts])
         outs = branch_outputs(channel, rhos)                    # (T, n, d, d)
         probs = np.trace(outs, axis1=-2, axis2=-1).real         # (T, n)
         live = probs > PROB_TOL
@@ -141,7 +137,7 @@ def _convexity_scan(measure, partition, trials, seed):
             rng = np.random.default_rng(seed + t)
             k = int(rng.integers(2, 5))
             weights.extend(rng.dirichlet(np.ones(k)))
-            parts.extend(random_density_matrix(partition.total, rng) for _ in range(k))
+            parts.extend(random_density_matrices(partition.total, rng, count=k))
             owner.extend([i] * k)
         parts, weights = np.stack(parts), np.array(weights)
         # np.add.at adds in index order, so each trial sums its parts left to right

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .blockcore import BlockPartition
-from .sampling import as_rng, random_density_matrix
+from .sampling import random_density_matrices
 
 # Tolerances for effect positivity and completeness of the effect sum.
 PSD_TOL = 1e-9
@@ -39,13 +39,14 @@ class Povm:
         if not np.all(np.isfinite(eff)):
             raise ValueError("effects must have finite entries")
         d = eff.shape[1]
-        for i, e in enumerate(eff):
-            herm = float(np.max(np.abs(e - e.conj().T)))
-            if herm > PSD_TOL:
-                raise ValueError(f"effect {i} is not hermitian (deviation {herm:.3e})")
-            lo = float(np.linalg.eigvalsh((e + e.conj().T) / 2).min())
-            if lo < -PSD_TOL:
-                raise ValueError(f"effect {i} is not positive semidefinite (min eigenvalue {lo:.3e})")
+        adj = eff.conj().swapaxes(-1, -2)
+        herm = np.abs(eff - adj).max(axis=(1, 2))
+        lo = np.linalg.eigvalsh((eff + adj) / 2).min(axis=1)
+        # the first effect that breaks either condition names the error
+        for i in np.flatnonzero((herm > PSD_TOL) | (lo < -PSD_TOL))[:1]:
+            if herm[i] > PSD_TOL:
+                raise ValueError(f"effect {i} is not hermitian (deviation {herm[i]:.3e})")
+            raise ValueError(f"effect {i} is not positive semidefinite (min eigenvalue {lo[i]:.3e})")
         sum_dev = float(np.max(np.abs(eff.sum(axis=0) - np.eye(d))))
         if sum_dev > SUM_TOL:
             raise ValueError(f"effects do not sum to identity (deviation {sum_dev:.3e})")
@@ -178,8 +179,7 @@ def verify_dilation(povm: Povm, ext: NaimarkExtension, trials: int = 100, seed: 
     # rows x*n + i of column block a::n, regrouped as M[i][x, :]
     mops = ext.global_unitary[:, ext.ancilla_state_index::n].reshape(d, n, d).swapaxes(0, 1)
     compressed = mops.conj().swapaxes(-2, -1) @ mops
-    rng = as_rng(seed)
-    rhos = np.stack([random_density_matrix(d, rng) for _ in range(trials)])[:, None]
+    rhos = random_density_matrices(d, seed, count=trials)[:, None]
     direct = np.trace(povm.effects @ rhos, axis1=-2, axis2=-1).real
     dilated = np.trace(compressed @ rhos, axis1=-2, axis2=-1).real
     return float(np.max(np.abs(direct - dilated)))

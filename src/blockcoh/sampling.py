@@ -19,12 +19,30 @@ def ginibre(rng: np.random.Generator, *shape) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def random_density_matrices(dim: int, seeds, count: int | None = None) -> np.ndarray:
+    """Stack (T, dim, dim) of Hilbert-Schmidt random states: G G^dag normalized.
+
+    Without ``count``, ``seeds`` is a sequence with one seed (or Generator)
+    per state, and state t is drawn from as_rng(seeds[t]).  With ``count``,
+    ``seeds`` is one seed or Generator and the ``count`` states are drawn from
+    it in order.  Either way each state takes one normal draw of shape
+    (2, dim, dim), the real and imaginary parts of its square Ginibre G, so
+    state t equals random_density_matrix(dim, seed) for the same generator
+    state bit for bit.
+    """
+    if count is None:
+        normals = [as_rng(s).normal(size=(2, dim, dim)) for s in seeds]
+        normals = np.array(normals).reshape(-1, 2, dim, dim)
+    else:
+        normals = as_rng(seeds).normal(size=(count, 2, dim, dim))
+    g = normals[:, 0] + 1j * normals[:, 1]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
 def random_density_matrix(dim: int, seed=None) -> np.ndarray:
     """Hilbert-Schmidt random state: G G^dag normalized, G square Ginibre."""
-    rng = as_rng(seed)
-    g = ginibre(rng, dim, dim)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return random_density_matrices(dim, [seed])[0]
 
 
 def random_block_incoherent_state(partition: BlockPartition, seed=None) -> np.ndarray:

@@ -62,12 +62,18 @@ def parse_partition(text: str) -> BlockPartition:
         raise SchemaError(f"bad partition {text!r}: {exc}") from exc
 
 
+def _is_json_int(raw) -> bool:
+    # JSON true/false load as Python bools, which are ints too
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def partition_from_json(obj) -> BlockPartition:
-    if not isinstance(obj, list):
-        raise SchemaError("partition must be an array of positive integers")
+    """A "partition" array of JSON integers; a float or a boolean is a SchemaError."""
+    if not isinstance(obj, list) or not all(_is_json_int(x) for x in obj):
+        raise SchemaError(f"partition must be an array of positive integers, got {obj!r}")
     try:
-        return BlockPartition([int(x) for x in obj])
-    except (TypeError, ValueError) as exc:
+        return BlockPartition(obj)
+    except ValueError as exc:
         raise SchemaError(f"bad partition {obj!r}: {exc}") from exc
 
 
@@ -80,7 +86,7 @@ def _dim_from_json(obj: dict, default):
     if "dim" not in obj:
         return default
     raw = obj["dim"]
-    if not isinstance(raw, int) or isinstance(raw, bool):
+    if not _is_json_int(raw):
         raise SchemaError(f'"dim" must be an integer, got {raw!r}')
     return raw
 

@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from blockcoh import channels
 from blockcoh.blockcore import (
     ZERO_TOL,
     BlockPartition,
@@ -36,6 +38,7 @@ from blockcoh.channels import (
     mbio_deviation,
     sbio_commutation_deviation,
     sbio_semantic_deviation,
+    semantic_verdict,
     verify_cptp,
 )
 from blockcoh.sampling import (
@@ -587,3 +590,153 @@ def test_block_maxima_classifiers_match_basis_loops():
     assert count >= 3000
     # the sample holds sets on both sides of every verdict
     assert all(v == {True, False} for v in verdicts.values())
+
+
+def test_semantic_verdict_is_both_halves_of_one_pass():
+    verdicts = set()
+    for dims in ORACLE_PARTITIONS:
+        for ks in itertools.islice(oracle_sets(dims), 40):
+            want = reference_semantic(ks)
+            for strict, name in ((False, "bio_semantic"), (True, "sbio_semantic")):
+                holds, worst = semantic_verdict(ks, strict)
+                assert holds == want[name][0]
+                assert abs(worst - want[name][1]) <= 1e-15
+                verdicts.add(holds)
+            assert semantic_verdict(ks) == (is_bio_semantic(ks), bio_semantic_deviation(ks))
+    assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the generator, the commutation check and the PBIO
+# helpers as they were before they were stacked
+# ---------------------------------------------------------------------------
+
+def reference_kraus_from_block_patterns(partition, patterns, rng):
+    """Completion that carries the fixed columns as a separate widened array."""
+    d = partition.total
+    n_ops = len(patterns)
+    stacked = np.zeros((n_ops * d, d), dtype=complex)
+    accepted = np.zeros((n_ops * d, 0), dtype=complex)
+    for c in range(partition.num_blocks):
+        rows = []
+        for n, pat in enumerate(patterns):
+            for r in pat[c]:
+                sl = partition.block_slice(r)
+                rows.extend(range(n * d + sl.start, n * d + sl.stop))
+        rows = np.array(rows, dtype=int)
+        dc = partition.dims[c]
+        basis = channels._nullspace(accepted[rows, :].conj().T, len(rows))
+        if basis.shape[1] < dc:
+            raise RuntimeError(f"pattern leaves column block {c} infeasible")
+        q, _ = np.linalg.qr(basis @ ginibre(rng, basis.shape[1], dc))
+        cs = partition.block_slice(c)
+        stacked[np.ix_(rows, range(cs.start, cs.stop))] = q
+        widened = np.zeros((n_ops * d, dc), dtype=complex)
+        widened[rows, :] = q
+        accepted = np.concatenate([accepted, widened], axis=1)
+    return stacked.reshape(n_ops, d, d)
+
+
+GENERATOR_PARTITIONS = [(2, 3), (1, 1, 1), (3, 5, 7), (4, 4, 4), (1, 15), (1,) * 8,
+                        (8, 8, 8, 8), (2, 2), (1, 2, 2)]
+
+
+def test_generator_matches_widened_completion(monkeypatch):
+    def generate():
+        out = []
+        for dims in GENERATOR_PARTITIONS:
+            p = BlockPartition(dims)
+            for seed in range(4 if p.total < 20 else 2):
+                for kind in ("bio", "sbio"):
+                    out.append(gen_random(kind, p, seed).operators)
+                    out.append(gen_pattern_violating(kind, p, seed).operators)
+        return out
+
+    fast = generate()
+    monkeypatch.setattr(channels, "_kraus_from_block_patterns",
+                        reference_kraus_from_block_patterns)
+    slow = generate()
+    assert len(fast) == len(slow) == 4 * (8 * 4 + 1 * 2)
+    for a, b in zip(fast, slow):
+        assert np.array_equal(a, b)
+
+
+def reference_commutation_deviation(ks, rho):
+    mask = block_mask(ks.partition)
+    ops = ks.operators
+    out = np.einsum("nij,...jk,nlk->...nil", ops, rho, ops.conj())
+    rhs = np.einsum("nij,...jk,nlk->...nil", ops, rho * mask, ops.conj())
+    return float(np.max(np.abs(out * mask - rhs)))
+
+
+def test_commutation_deviation_matches_einsum():
+    for dims in [(2, 3), (1, 1, 1), (4, 4, 4), (1, 15), (1, 2, 2)]:
+        p = BlockPartition(dims)
+        for seed in range(10):
+            ks = gen_random("sbio", p, seed)
+            rhos = np.stack([random_density_matrix(p.total, 10 * seed + r) for r in range(10)])
+            for rho in (rhos, rhos[0]):
+                fast = sbio_commutation_deviation(ks, rho)
+                assert abs(fast - reference_commutation_deviation(ks, rho)) <= 1e-15
+    ks = gen_pattern_violating("sbio", P23, 11)  # BIO, not SBIO
+    assert is_bio_semantic(ks) and not is_sbio_semantic(ks)
+    rhos = np.stack([random_density_matrix(5, r) for r in range(10)])
+    fast = sbio_commutation_deviation(ks, rhos)
+    assert fast > 1e-3
+    assert abs(fast - reference_commutation_deviation(ks, rhos)) <= 1e-14
+    with pytest.raises(ValueError):
+        sbio_commutation_deviation(ks, np.eye(4))
+
+
+def reference_scaled_isometry_blocks(ks, tol=ZERO_TOL):
+    p = ks.partition
+    for n, r, c in np.argwhere(np.array([block_pattern(op, p, tol) for op in ks.operators])):
+        blk = ks.operators[n][p.block_slice(r), p.block_slice(c)]
+        gram = blk.conj().T @ blk
+        thr = tol * (1.0 + float(np.max(np.abs(gram))))
+        if float(np.max(np.abs(gram - np.diag(np.diag(gram))))) > thr:
+            return False
+        diag = np.diag(gram).real
+        live = diag[diag > thr]
+        if live.size and float(live.max() - live.min()) > thr:
+            return False
+    return True
+
+
+def test_scaled_isometry_blocks_match_block_loop():
+    verdicts = set()
+    for dims in ORACLE_PARTITIONS + [(4, 4, 4), (1, 15), (3, 5, 7)]:
+        p = BlockPartition(dims)
+        for seed in range(30):
+            for ks in (gen_random("pbio", p, seed), gen_random(GEN_KINDS[seed % 4], p, seed)):
+                want = reference_scaled_isometry_blocks(ks)
+                assert has_scaled_isometry_blocks(ks) == want, (dims, seed)
+                verdicts.add(want)
+                # a scaled copy of one nonzero block's column breaks equal scaling
+                ops = ks.operators.copy()
+                n, col = np.unravel_index(np.argmax(np.abs(ops).max(axis=1)), (len(ops), p.total))
+                ops[n, :, col] *= 1.5
+                bent = KrausSet(p, ops)
+                assert has_scaled_isometry_blocks(bent) == reference_scaled_isometry_blocks(bent)
+    assert verdicts == {True, False}
+
+
+def reference_build_pbio_operators(spec):
+    da, db = spec.system_partition.total, spec.ancilla_partition.total
+    kraus = np.zeros((db, da, da), dtype=complex)
+    coeff = spec.amplitudes[None, :] * np.exp(1j * spec.phases)
+    for x in range(da):
+        for s in range(db):
+            kraus[spec.pi_ancilla[x, s], spec.pi_system[x, s], x] += coeff[x, s]
+    return kraus[[j for j in range(db) if np.max(np.abs(kraus[j])) > 0.0]]
+
+
+def test_build_pbio_matches_term_loop():
+    for dims in [(2, 3), (1, 1, 1), (4, 4, 4), (1, 15), (1, 2, 2), (3, 3)]:
+        p = BlockPartition(dims)
+        for seed in range(20):
+            spec = channels._random_pbio_spec(p, np.random.default_rng(seed))
+            got, want = build_pbio(spec).operators, reference_build_pbio_operators(spec)
+            assert np.array_equal(got, want)
+            # bit for bit, signed zeros included, since gen output prints them
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))

@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blockcoh.blockcore import BlockPartition, block_projectors
 from blockcoh.channels import KrausSet, classifier_report, gen_random
-from blockcoh.cli import main
+from blockcoh.cli import SUITES, main
 from blockcoh.sampling import haar_unitary, random_density_matrix, random_povm
 from blockcoh.serialize import kraus_to_json, matrix_to_json, povm_to_json
 from blockcoh.naimark import Povm
@@ -310,3 +311,86 @@ def test_malformed_dim_is_a_parse_error(tmp_path, capsys):
             assert code == 1 and out == ""
             message = json.loads(err)
             assert message["kind"] == "parse" and '"dim"' in message["error"], (name, dim)
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify_defaults.txt"
+
+
+def golden_sections():
+    """Each suite's stdout at its defaults, keyed by the command that printed it."""
+    sections, key = {}, None
+    for line in GOLDEN.read_text().splitlines(keepends=True):
+        if line.startswith("$ "):
+            key = line[2:].strip()
+            sections[key] = ""
+        else:
+            sections[key] += line
+    return sections
+
+
+def test_verify_defaults_match_golden_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sections = golden_sections()
+    assert list(sections) == [f"blockcoh verify {suite}" for suite in SUITES]
+    for suite in SUITES:
+        code, out, err = run(capsys, "verify", suite)
+        assert (code, err) == (0, "")
+        assert out == sections[f"blockcoh verify {suite}"], suite
+
+
+def test_partition_must_hold_json_integers(tmp_path, capsys):
+    p = BlockPartition((1, 1))
+    kraus = kraus_to_json(KrausSet(p, np.array(block_projectors(p))))
+    del kraus["dim"]
+    for partition in ([1.7, True], [1.0, 1.0], [True, True], ["1", "1"], [1, None], "1,1"):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(dict(kraus, partition=partition)))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["kind"] == "parse"
+    path.write_text(json.dumps(dict(kraus, partition=[1, 1])))
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == 0 and json.loads(out)["sbio_semantic"]
+
+
+def test_appendix_suites_reject_single_block_partitions(capsys):
+    for suite in ("appendix-a", "appendix-b"):
+        for partition in ("3", "1"):
+            code, out, err = run(capsys, "verify", suite, "--partition", partition)
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1
+            message = json.loads(err)
+            assert message["kind"] == "parse"
+            assert "admits no violating pattern" in message["error"]
+    # suites without a violating generator still run on one block
+    code, out, _ = run(capsys, "verify", "inclusion", "--partition", "3", "--trials", "5")
+    assert code == 0 and out.startswith("PASS")
+
+
+def test_stacked_faithfulness_matches_per_state_loop():
+    from blockcoh import measures
+    from blockcoh.blockcore import block_dephase, is_block_incoherent
+    from blockcoh.cli import _faithful
+
+    verdicts = set()
+    for dims in ((1, 1), (2, 3), (1, 2, 2), (4,)):
+        p = BlockPartition(dims)
+        rng = np.random.default_rng(sum(dims))
+        rhos = [random_density_matrix(p.total, s) for s in range(40)]
+        states = rhos + [block_dephase(p, rho) for rho in rhos]
+        # free states with a cross-block leak around both thresholds
+        for rho in rhos[:20]:
+            leak = (rho - block_dephase(p, rho)) * 10.0 ** rng.uniform(-12, -6)
+            states.append(block_dephase(p, rho) + leak)
+        want = []
+        for state in states:
+            free = is_block_incoherent(p, state, 1e-8)
+            want.append(
+                ((measures.rel_entropy_block_coherence(p, state) <= 1e-9) == free)
+                and ((measures.l1_block_coherence(p, state) <= 1e-9) == free)
+            )
+        got = _faithful(p, np.stack(states))
+        assert got.tolist() == want, dims
+        verdicts.update(want)
+    assert verdicts == {True, False}

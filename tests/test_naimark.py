@@ -61,6 +61,20 @@ def test_povm_validation():
     assert p.dim == 2 and p.n_outcomes == 2
 
 
+def test_povm_errors_name_the_first_bad_effect():
+    good = np.eye(2) / 3
+    non_psd = np.diag([1.0, -0.5]) / 3
+    non_herm = np.array([[1.0, 0.5], [0.0, 1.0]]) / 3
+    for effects, message in (
+        ([good, non_psd, non_herm], "effect 1 is not positive semidefinite"),
+        ([good, non_herm, non_psd], "effect 1 is not hermitian"),
+        ([non_psd, good, good], "effect 0 is not positive semidefinite"),
+        ([good, good, non_herm], "effect 2 is not hermitian"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Povm(np.array(effects, dtype=complex))
+
+
 def test_measurement_operators_examples():
     halves = Povm(np.array([np.eye(2) / 2, np.eye(2) / 2]))
     mops = measurement_operators(halves)
