@@ -333,12 +333,13 @@ class _Parser(argparse.ArgumentParser):
     """argparse with its usage errors in the one-line JSON error form.
 
     Subparsers are made with the parser's own class, so they inherit this.
-    The exit code stays argparse's 2.
+    The exit code is 1, as for every other JSON error line; 2 is left to
+    ``classify`` for an incomplete channel.
     """
 
     def error(self, message):
         sys.stderr.write(json.dumps({"error": f"{self.prog}: {message}", "kind": "parse"}) + "\n")
-        raise SystemExit(2)
+        raise SystemExit(1)
 
 
 def build_parser() -> argparse.ArgumentParser:

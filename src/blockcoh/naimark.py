@@ -6,9 +6,14 @@ apply a global unitary V, and measure the ancilla in its computational
 basis.  The construction here is the canonical one: the measurement
 operators are the principal square roots M_i of the effects, the columns of
 V addressed by the fixed ancilla state hold the stacked M_i, and the
-remaining columns are completed deterministically to an orthonormal basis.
-The dilation is neither minimal nor unique, but it is reproducible byte for
-byte and exactly reproduces every outcome probability.
+remaining columns are the ordered Gram-Schmidt completion over the canonical
+basis vectors, smallest index first, where a candidate whose distance from
+the span of the vectors accepted before it is below 1e-8 is skipped.  The
+completion is computed in panels of candidates by matrix products and QR
+factorizations; the V it gives equals the one-candidate-at-a-time
+completion up to rounding.  The dilation is neither minimal nor unique,
+but it is reproducible byte for byte and exactly reproduces every outcome
+probability.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ from .sampling import random_density_matrices
 # Tolerances for effect positivity and completeness of the effect sum.
 PSD_TOL = 1e-9
 SUM_TOL = 1e-9
+# The dilation's completion: canonical candidates per panel, and the
+# projected norm below which a candidate is skipped.
+GS_PANEL = 48
+GS_SKIP_NORM = 1e-8
 
 
 @dataclass(eq=False)
@@ -61,21 +70,19 @@ class Povm:
         return self.effects.shape[0]
 
 
-def _psd_sqrt(mat: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-    if vals.min() < -tol:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {vals.min():.3e})")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def measurement_operators(povm: Povm) -> np.ndarray:
     """Principal (hermitian positive) square roots M_i with M_i^dag M_i = E_i.
 
     Among the many operator square roots of each effect this is the canonical
-    deterministic choice.
+    deterministic choice.  All n roots come from one stacked ``eigh``.
     """
-    return np.array([_psd_sqrt(e) for e in povm.effects])
+    eff = povm.effects
+    vals, vecs = np.linalg.eigh((eff + eff.conj().swapaxes(-1, -2)) / 2)
+    lo = vals.min()
+    if lo < -PSD_TOL:
+        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})")
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 @dataclass(eq=False)
@@ -120,10 +127,25 @@ def dilate(povm: Povm) -> NaimarkExtension:
 
     The global space is system (x) ancilla with the ancilla index varying
     fastest, so global basis index (x, i) sits at x*n + i.  The unitary V is
-    fixed by V(|psi> (x) |0>) = sum_i (M_i |psi>) (x) |i>; its remaining
-    columns are completed by ordered Gram-Schmidt over the canonical basis
-    vectors of the global space, smallest index first, re-orthogonalized
-    twice so the completion is deterministic and numerically tight.  The
+    fixed by V(|psi> (x) |0>) = sum_i (M_i |psi>) (x) |i>.  Its remaining
+    columns, in order, are the ordered Gram-Schmidt completion over the
+    canonical basis vectors e_t of the global space, smallest t first: each
+    e_t is projected twice against every vector accepted before it and
+    normalized, and is skipped when its projected norm is below
+    ``GS_SKIP_NORM`` (1e-8).
+
+    The completion runs on panels of up to ``GS_PANEL`` consecutive
+    candidates.  A panel is projected once against the accepted basis, with
+    the coefficients <b, e_t> = conj(b[t]) read off the stored vectors, and
+    factored by one Householder QR; |R_jj| is the projected norm of its j-th
+    candidate, and the first column with |R_jj| < ``GS_SKIP_NORM`` is a
+    skip, after which the next panel starts.  The columns before it get the
+    phase R_jj/|R_jj| of the Gram-Schmidt vector, are projected a second
+    time against the accepted basis, and are renormalized by a Cholesky
+    factor of their Gram matrix.  So V equals the one-candidate-at-a-time
+    completion up to rounding, with the same accepted candidates wherever no
+    projected norm lies within rounding of the threshold.  Raises
+    RuntimeError when the candidates run out before V is complete.  The
     projectors P_i = V^dag (I (x) |i><i|) V are built from V only when the
     extension's ``pvm`` is read.
     """
@@ -132,31 +154,38 @@ def dilate(povm: Povm) -> NaimarkExtension:
     big = d * n
     anc = 0
 
-    fixed = np.zeros((big, d), dtype=complex)
-    for i in range(n):
-        fixed[i::n, :] = mops[i]
+    # basis[k] is the k-th accepted basis vector: the d fixed columns (row
+    # x*n + i of column y holds M_i[x, y]), then the completion in order
+    basis = np.empty((big, big), dtype=complex)
+    basis[:d] = mops.transpose(1, 0, 2).reshape(big, d).T
+    k, t = d, 0
+    while k < big:
+        width = min(GS_PANEL, big - k, big - t)
+        if width == 0:
+            raise RuntimeError("orthonormal completion of the dilation failed")
+        acc, cols = basis[:k], slice(t, t + width)
+        # <b_i, e_t> = conj(b_i[t]), so the first pass needs no product
+        panel = -(acc.T @ acc[:, cols].conj())
+        panel[cols, :] += np.eye(width)
+        q, r = np.linalg.qr(panel)
+        diag = r.diagonal()
+        kept = np.abs(diag) >= GS_SKIP_NORM
+        good = width if kept.all() else int(np.argmin(kept))
+        if good:
+            q = q[:, :good] * (diag[:good] / np.abs(diag[:good]))
+            # the in-panel QR can lift a column's error along the accepted
+            # basis by 1/|R_jj|; the second pass removes it
+            q -= acc.T @ (acc @ q.conj()).conj()
+            # with q^dag q = L L^dag, the Cholesky factor of conj(q^dag q) is
+            # conj(L), and conj(L)^-1 q^T holds the columns of q L^-dag as rows
+            chol = np.linalg.cholesky(q.T @ q.conj())
+            basis[k:k + good] = np.linalg.inv(chol) @ q.T
+        k += good
+        t += good + (good < width)
 
-    v = np.zeros((big, big), dtype=complex)
-    v[:, anc::n] = fixed
-
-    remaining = [c for c in range(big) if c % n != anc]
-    basis = fixed
-    filled = 0
-    for t in range(big):
-        if filled == len(remaining):
-            break
-        cand = np.zeros(big, dtype=complex)
-        cand[t] = 1.0
-        for _ in range(2):
-            cand = cand - basis @ (basis.conj().T @ cand)
-        norm = float(np.linalg.norm(cand))
-        if norm < 1e-8:
-            continue
-        cand /= norm
-        v[:, remaining[filled]] = cand
-        basis = np.concatenate([basis, cand[:, None]], axis=1)
-        filled += 1
-    assert filled == len(remaining), "orthonormal completion of the dilation failed"
+    v = np.empty((big, big), dtype=complex)
+    v[:, anc::n] = basis[:d].T
+    v[:, [c for c in range(big) if c % n != anc]] = basis[d:].T
     return NaimarkExtension(system_dim=d, outcomes=n, global_unitary=v, ancilla_state_index=anc)
 
 

@@ -276,22 +276,49 @@ def test_sbio_violators_where_first_block_is_largest(capsys):
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
 
-def test_unconvertible_flag_values_are_one_json_line(tmp_path, capsys):
+def usage_error_argv(tmp_path):
     p = BlockPartition((2, 3))
     path = write_kraus(tmp_path / "proj.json", KrausSet(p, np.array(block_projectors(p))))
-    for argv in (
+    return (
         ["verify", "inclusion", "--trials", "abc"],
         ["verify", "inclusion", "--partition", "2,x"],
         ["classify", path, "--tol", "-1e-3"],  # read as a flag, so --tol has no value
         ["verify", "no-such-suite"],
         ["no-such-command"],
-    ):
+    )
+
+
+def test_unconvertible_flag_values_are_one_json_line(tmp_path, capsys):
+    for argv in usage_error_argv(tmp_path):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code != 0
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert json.loads(err)["kind"] == "parse"
+
+
+def test_exit_code_2_means_only_an_incomplete_channel(tmp_path, capsys):
+    # usage errors exit 1 like every other JSON error line
+    for argv in usage_error_argv(tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1, argv
+        assert json.loads(capsys.readouterr().err)["kind"] == "parse"
+    p = BlockPartition((2, 3))
+    path = write_kraus(tmp_path / "bad.json", KrausSet(p, np.array([np.eye(5), np.eye(5)])))
+    code, out, err = run(capsys, "classify", path)
+    assert code == 2 and err == "" and json.loads(out)["cptp"] is False
+
+
+def test_failed_dilation_is_one_json_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps(povm_to_json(Povm(random_povm(2, 3, 4)))))
+    monkeypatch.setattr("blockcoh.naimark.GS_SKIP_NORM", 2.0)  # no candidate is long enough
+    code, out, err = run(capsys, "dilate", str(path))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "orthonormal completion of the dilation failed",
+                               "kind": "runtime"}
 
 
 def test_malformed_dim_is_a_parse_error(tmp_path, capsys):

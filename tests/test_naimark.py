@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from blockcoh import naimark
 from blockcoh.blockcore import BlockPartition
 from blockcoh.naimark import (
     NaimarkExtension,
@@ -12,7 +13,50 @@ from blockcoh.naimark import (
     measurement_operators,
     verify_dilation,
 )
-from blockcoh.sampling import as_rng, random_density_matrix, random_povm
+from blockcoh.sampling import as_rng, haar_unitary, random_density_matrix, random_povm
+
+
+def reference_measurement_operators(povm):
+    # one eigh per effect
+    roots = []
+    for e in povm.effects:
+        vals, vecs = np.linalg.eigh((e + e.conj().T) / 2)
+        assert vals.min() >= -1e-9
+        roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
+    return np.array(roots)
+
+
+def reference_dilate(povm):
+    # the ordered completion one candidate at a time: e_t projected twice
+    # against every accepted column, skipped below norm 1e-8
+    mops = reference_measurement_operators(povm)
+    d, n = povm.dim, povm.n_outcomes
+    big = d * n
+    anc = 0
+    fixed = np.zeros((big, d), dtype=complex)
+    for i in range(n):
+        fixed[i::n, :] = mops[i]
+    v = np.zeros((big, big), dtype=complex)
+    v[:, anc::n] = fixed
+    remaining = [c for c in range(big) if c % n != anc]
+    basis = fixed
+    filled = 0
+    for t in range(big):
+        if filled == len(remaining):
+            break
+        cand = np.zeros(big, dtype=complex)
+        cand[t] = 1.0
+        for _ in range(2):
+            cand = cand - basis @ (basis.conj().T @ cand)
+        norm = float(np.linalg.norm(cand))
+        if norm < 1e-8:
+            continue
+        cand /= norm
+        v[:, remaining[filled]] = cand
+        basis = np.concatenate([basis, cand[:, None]], axis=1)
+        filled += 1
+    assert filled == len(remaining), "orthonormal completion of the dilation failed"
+    return v
 
 
 def reference_verify_dilation(povm, ext, trials=100, seed=0):
@@ -90,6 +134,87 @@ def test_measurement_operators_examples():
         assert np.allclose(m, np.sqrt(2 / 3) * np.outer(v, v.conj()))
     for m, e in zip(mops, trine_povm().effects):
         assert np.max(np.abs(m.conj().T @ m - e)) <= 1e-9
+
+
+def projective_povm(d, n, seed):
+    # n orthogonal projectors onto consecutive groups of a Haar basis
+    u = haar_unitary(d, seed)
+    return Povm(np.array([u[:, g] @ u[:, g].conj().T
+                          for g in np.array_split(np.arange(d), n)]))
+
+
+def skip_forcing_povms():
+    # inputs where some canonical candidates lie exactly in the span of the
+    # fixed columns, so the completion must skip them; their square roots are
+    # exact, so every candidate norm is either 0 or far above 1e-8
+    rng = np.random.default_rng(5)
+    yield trine_povm()
+    for d in (1, 2, 3, 5, 8):
+        for n in (1, 2, 3, 4, 7):
+            weights = rng.dirichlet(np.ones(n), size=d).T
+            yield Povm(np.array([np.diag(w).astype(complex) for w in weights]))
+            labels = rng.integers(n, size=d)  # coordinate projectors
+            yield Povm(np.array([np.diag(labels == i).astype(complex) for i in range(n)]))
+            support = rng.random((n, d)) < 0.5  # rank-deficient effects
+            support[labels, np.arange(d)] = True
+            weights = weights * support
+            weights /= weights.sum(axis=0)
+            yield Povm(np.array([np.diag(w).astype(complex) for w in weights]))
+
+
+def test_measurement_operators_match_per_effect_loop():
+    rng = np.random.default_rng(2)
+    povms = [Povm(random_povm(int(d), int(n), rng)) for d, n in rng.integers(1, 17, (200, 2))]
+    povms += [trine_povm(), projective_povm(4, 2, 0), projective_povm(5, 5, 1)]
+    for povm in povms:
+        assert np.array_equal(measurement_operators(povm), reference_measurement_operators(povm))
+
+
+def test_dilate_matches_loop_reference():
+    ladder = [(1, 1), (2, 3), (4, 4), (8, 8), (4, 16), (16, 4), (16, 16)]
+    povms = [Povm(random_povm(d, n, 100 * d + n)) for d, n in ladder]
+    rng = np.random.default_rng(8)
+    povms += [Povm(random_povm(int(d), int(n), rng)) for d, n in rng.integers(1, 9, (200, 2))]
+    skips = 0
+    for povm in povms + list(skip_forcing_povms()):
+        v = dilate(povm).global_unitary
+        assert np.max(np.abs(v - reference_dilate(povm))) <= 1e-12, (povm.dim, povm.n_outcomes)
+        # with a skip, the fixed columns and the first dn - d canonical
+        # vectors do not span the space
+        big = v.shape[0]
+        fixed_and_first = np.hstack([v[:, ::povm.n_outcomes], np.eye(big)[:, :big - povm.dim]])
+        skips += np.linalg.matrix_rank(fixed_and_first) < big
+    assert skips >= 40, skips
+
+
+def test_rounding_decided_candidates_keep_v_unitary():
+    # Haar-basis projectors have square roots with ~1e-8 entries where the
+    # exact root has zeros (the root of a ~1e-16 eigenvalue), so a candidate
+    # that is exactly dependent can land just above the skip norm, and the
+    # column it gives is set by rounding in the loop and the panel alike.
+    # The accepted candidates must still be the loop's (a different one
+    # moves a column by O(1)), and V must stay unitary.
+    rng = np.random.default_rng(0)
+    rounding_decided = 0
+    for d in range(2, 9):
+        for n in range(2, d + 1):
+            for _ in range(4):
+                povm = projective_povm(d, n, int(rng.integers(1 << 30)))
+                ext = dilate(povm)
+                v = ext.global_unitary
+                gap = np.max(np.abs(v - reference_dilate(povm)))
+                assert gap <= 1e-6, (d, n, gap)
+                rounding_decided += gap > 1e-12
+                assert np.max(np.abs(v.conj().T @ v - np.eye(d * n))) <= 1e-12
+                assert verify_dilation(povm, ext, trials=5, seed=0) <= 1e-10
+    assert rounding_decided > 0
+
+
+def test_failed_completion_raises(monkeypatch):
+    # a skip threshold above every candidate norm leaves the completion short
+    monkeypatch.setattr(naimark, "GS_SKIP_NORM", 2.0)
+    with pytest.raises(RuntimeError, match="completion"):
+        dilate(trine_povm())
 
 
 def test_dilate_trivial_povm():

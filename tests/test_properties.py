@@ -1,16 +1,56 @@
-"""Hypothesis properties of the stacked sampler and the generators."""
+"""Hypothesis properties of the sampler, the generators, the classifiers,
+dephasing, the JSON formats, the entropy gap and the dilation."""
+
+import json
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from blockcoh.blockcore import BlockPartition  # noqa: E402
-from blockcoh.channels import gen_random  # noqa: E402
-from blockcoh.sampling import random_density_matrices, random_density_matrix  # noqa: E402
+from blockcoh import serialize  # noqa: E402
+from blockcoh.blockcore import BlockPartition, block_dephase  # noqa: E402
+from blockcoh.channels import (  # noqa: E402
+    KrausSet,
+    _kraus_from_block_patterns,
+    classifier_report,
+    gen_pattern_violating,
+    gen_random,
+)
+from blockcoh.measures import rel_entropy_block_coherence  # noqa: E402
+from blockcoh.naimark import Povm, dilate  # noqa: E402
+from blockcoh.sampling import (  # noqa: E402
+    haar_unitary,
+    random_density_matrices,
+    random_density_matrix,
+    random_povm,
+)
+from test_naimark import reference_dilate  # noqa: E402
 
 SEEDS = st.integers(min_value=0, max_value=2**63)
+# d = 1, all-ones partitions, the unbalanced (1, 15), and small mixed ones
+PARTITIONS = st.one_of(
+    st.just((1,)),
+    st.just((1, 15)),
+    st.integers(2, 6).map(lambda k: (1,) * k),
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+).map(BlockPartition)
+
+
+def block_unitary(partition, rng):
+    # Haar unitary on each diagonal block, zero across blocks
+    u = np.zeros((partition.total, partition.total), dtype=complex)
+    for b, size in enumerate(partition.dims):
+        sl = partition.block_slice(b)
+        u[sl, sl] = haar_unitary(size, rng)
+    return u
+
+
+def same_bits(a, b):
+    # equal values and signed zeros: both show in the JSON output
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a.view(float)),
+                                                   np.signbit(b.view(float)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -31,3 +71,89 @@ def test_gen_random_is_deterministic(kind, dims, seed):
     # signed zeros too: they show in the generator's JSON output
     assert np.array_equal(np.signbit(first.operators.view(float)),
                           np.signbit(second.operators.view(float)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=PARTITIONS, strict=st.booleans(), extra=st.integers(0, 2), data=st.data())
+def test_structural_implies_semantic(p, strict, extra, data):
+    # fill a random legal block pattern: each operator sends each column
+    # block into one row block, and into distinct row blocks when strict;
+    # with at least d operators every such pattern can be completed
+    k = p.num_blocks
+    blocks = st.permutations(range(k)) if strict else st.lists(
+        st.integers(0, k - 1), min_size=k, max_size=k)
+    rows = data.draw(st.lists(blocks, min_size=p.total + extra, max_size=p.total + extra))
+    patterns = [[[r] for r in op] for op in rows]
+    seed = data.draw(SEEDS)
+    ks = KrausSet(p, _kraus_from_block_patterns(p, patterns, np.random.default_rng(seed)))
+    report = classifier_report(ks)
+    assert report["cptp"] and report["bio_structural"]
+    assert report["bio_semantic"] and report["mbio"]
+    if strict:
+        assert report["sbio_structural"] and report["sbio_semantic"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=PARTITIONS,
+       kind=st.sampled_from(["bio", "sbio", "pbio", "unitary", "bio-violator", "sbio-violator"]),
+       seed=SEEDS, phase=st.floats(0.0, 2 * np.pi))
+def test_verdicts_invariant_under_block_unitaries_and_phase(p, kind, seed, phase):
+    if kind.endswith("-violator"):
+        assume(p.num_blocks >= 2)
+        ks = gen_pattern_violating(kind.split("-")[0], p, seed)
+    else:
+        ks = gen_random(kind, p, seed)
+    rng = np.random.default_rng(seed)
+    u, w = block_unitary(p, rng), block_unitary(p, rng)
+    moved = KrausSet(p, np.exp(1j * phase) * (u @ ks.operators @ w))
+    assert classifier_report(moved) == classifier_report(ks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=PARTITIONS, seeds=st.lists(SEEDS, min_size=1, max_size=4))
+def test_block_dephase_is_idempotent(p, seeds):
+    rhos = random_density_matrices(p.total, seeds)
+    once = block_dephase(p, rhos)
+    assert np.array_equal(block_dephase(p, once), once)
+    assert np.array_equal(block_dephase(p, block_dephase(p, rhos[0])), once[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=PARTITIONS, kind=st.sampled_from(["bio", "sbio", "pbio", "unitary"]),
+       n=st.integers(1, 4), seed=SEEDS)
+def test_json_round_trips_are_the_identity(p, kind, n, seed):
+    def through_text(obj):
+        return json.loads(serialize.dumps(obj))
+
+    ks = gen_random(kind, p, seed)
+    back = serialize.kraus_from_json(through_text(serialize.kraus_to_json(ks)))
+    assert back.partition == p and same_bits(back.operators, ks.operators)
+
+    rho = random_density_matrix(p.total, seed)
+    state = {"dim": p.total, "matrix": serialize.matrix_to_json(rho)}
+    assert same_bits(serialize.state_from_json(through_text(state)), rho)
+
+    povm = Povm(random_povm(p.total, n, seed))
+    back = serialize.povm_from_json(through_text(serialize.povm_to_json(povm)))
+    assert same_bits(back.effects, povm.effects)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=PARTITIONS, seed=SEEDS)
+def test_entropy_gap_invariant_under_block_unitaries(p, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(p.total, rng)
+    u = block_unitary(p, rng)
+    moved = u @ rho @ u.conj().T
+    gap = rel_entropy_block_coherence(p, rho)
+    assert abs(rel_entropy_block_coherence(p, moved) - gap) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 6), n=st.integers(1, 6), seed=SEEDS)
+def test_dilation_matches_loop_and_is_unitary(d, n, seed):
+    povm = Povm(random_povm(d, n, seed))
+    v = dilate(povm).global_unitary
+    # a different skip would move a column by O(1)
+    assert np.max(np.abs(v - reference_dilate(povm))) <= 1e-12
+    assert np.max(np.abs(v.conj().T @ v - np.eye(d * n))) <= 1e-9
