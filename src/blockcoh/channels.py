@@ -449,14 +449,26 @@ def build_pbio(spec: PbioSpec) -> KrausSet:
 # Random generation
 # ---------------------------------------------------------------------------
 
-def _nullspace(constraints: np.ndarray, dim: int) -> np.ndarray:
-    # Orthonormal basis of {w : constraints @ w = 0} in C^dim.
-    if constraints.shape[0] == 0:
-        return np.eye(dim, dtype=complex)
-    u, s, vh = np.linalg.svd(constraints)
-    cutoff = (s[0] if s.size else 0.0) * 1e-12
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
+def _complete_block(fixed: np.ndarray, dc: int, rng) -> np.ndarray:
+    """``dc`` orthonormal columns orthogonal to the columns of ``fixed`` (N, m).
+
+    A thin SVD of ``fixed`` gives its rank and left singular vectors U_r
+    (singular values above 1e-12 of the largest count).  One Gaussian panel
+    g (N, dc) is projected off U_r and orthonormalized by one QR.  Raises
+    RuntimeError when fewer than ``dc`` directions are left free.
+    """
+    n_rows, rank = fixed.shape[0], 0
+    if fixed.shape[1]:
+        u, s, _ = np.linalg.svd(fixed, full_matrices=False)
+        rank = int(np.sum(s > s[0] * 1e-12))
+    if n_rows - rank < dc:
+        raise RuntimeError(f"{n_rows - rank} free directions left for {dc} columns")
+    g = ginibre(rng, n_rows, dc)
+    if rank:
+        u = u[:, :rank]
+        g -= u @ (u.conj().T @ g)
+    q, _ = np.linalg.qr(g)
+    return q
 
 
 def _kraus_from_block_patterns(partition: BlockPartition, patterns, rng) -> np.ndarray:
@@ -466,8 +478,15 @@ def _kraus_from_block_patterns(partition: BlockPartition, patterns, rng) -> np.n
     block c.  Completeness is equivalent to the stacked (n_ops*d, d) matrix of
     all operators having orthonormal columns, so each column block is drawn
     from the orthogonal complement of the previously fixed columns inside its
-    own permitted row support.  Raises RuntimeError when a pattern leaves a
-    column block with too little support to complete.
+    own permitted row support: on those N rows, a Gaussian panel g (N, dc) is
+    projected by P = I - U_r U_r^dag off the span of the fixed columns and
+    orthonormalized by one QR (``_complete_block``).  No null basis is formed.
+    For any orthonormal basis B of the complement P = B B^dag, and B^dag g is
+    again i.i.d. complex Gaussian, so P g has the law of B times a Gaussian
+    panel: the completed blocks have the same distribution as when they are
+    drawn inside an explicit null basis, only the realization for a seed
+    differs.  Raises RuntimeError when a pattern leaves a column block with
+    too little support to complete.
     """
     d = partition.total
     n_ops = len(patterns)
@@ -481,11 +500,10 @@ def _kraus_from_block_patterns(partition: BlockPartition, patterns, rng) -> np.n
         rows = np.array(rows, dtype=int)
         start, dc = partition.offsets[c], partition.dims[c]
         # the columns fixed so far are exactly stacked[:, :start]
-        basis = _nullspace(stacked[rows, :start].conj().T, len(rows))
-        if basis.shape[1] < dc:
-            raise RuntimeError(f"pattern leaves column block {c} infeasible")
-        w = basis @ ginibre(rng, basis.shape[1], dc)
-        q, _ = np.linalg.qr(w)
+        try:
+            q = _complete_block(stacked[rows, :start], dc, rng)
+        except RuntimeError as exc:
+            raise RuntimeError(f"pattern leaves column block {c} infeasible: {exc}") from None
         stacked[rows, start:start + dc] = q
     return stacked.reshape(n_ops, d, d)
 

@@ -28,6 +28,7 @@ overridden with classify --tol or the BLOCKCOH_TOL environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -391,8 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, text = args.func(args)
         if args.output:

@@ -1,7 +1,8 @@
 """JSON schemas shared across the package and the command-line tool.
 
 A matrix is an array of rows; each entry is a two-element array [re, im] of
-floats.  A state file is {"dim": d, "matrix": [...]}.  A Kraus-set file is
+finite JSON numbers (integers or floats; strings and booleans are rejected).
+A state file is {"dim": d, "matrix": [...]}.  A Kraus-set file is
 {"dim": d, "partition": [d_1, ...], "kraus": [matrix, ...]}.  A POVM file is
 {"dim": d, "effects": [matrix, ...]}.  Partitions on the command line are
 comma-separated positive integers, e.g. "2,3".
@@ -10,6 +11,7 @@ comma-separated positive integers, e.g. "2,3".
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import os
 import tempfile
@@ -30,7 +32,43 @@ def matrix_to_json(mat) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
-def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+def _is_json_int(raw) -> bool:
+    # JSON true/false load as Python bools, which are ints too
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _is_json_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _matrix_from_flat(obj):
+    """``obj`` decoded by one flat conversion, or None to leave it to the entry loop.
+
+    Accepts only what the loop accepts: a nonempty list of nonempty rows of
+    equal width, each entry a [re, im] list of two JSON numbers (int or float,
+    not bool), all finite.  The values are those of float() on each number.
+    """
+    if type(obj) is not list or not obj or set(map(type, obj)) != {list}:
+        return None
+    if not obj[0] or len(set(map(len, obj))) != 1:
+        return None
+    entries = list(itertools.chain.from_iterable(obj))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(entries))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(complex).reshape(len(obj), -1)
+
+
+def _matrix_from_entries(obj, what: str) -> np.ndarray:
+    # entry by entry, naming the first entry that breaks the schema
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{what} must be a nonempty array of rows")
     width = None
@@ -47,11 +85,27 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
                 val = complex(float(entry[0]), float(entry[1]))
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"{what} entry ({r}, {c}) is not numeric: {exc}") from exc
+            except OverflowError:
+                raise SchemaError(f"{what} entry ({r}, {c}) is too large for a float") from None
+            # after float(), so that what float() rejects keeps its message
+            if not all(_is_json_number(x) for x in entry):
+                raise SchemaError(f"{what} entry ({r}, {c}) is not numeric: "
+                                  f"{entry!r} holds a string or a boolean")
             if not cmath.isfinite(val):
                 raise SchemaError(f"{what} entry ({r}, {c}) is not finite")
             vals.append(val)
         rows.append(vals)
     return np.array(rows, dtype=complex)
+
+
+def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+    """A (rows, cols) complex matrix from rows of [re, im] JSON numbers.
+
+    One flat conversion decodes a well-formed matrix; anything else goes
+    through the entry loop, whose SchemaError names the first bad entry.
+    """
+    mat = _matrix_from_flat(obj)
+    return _matrix_from_entries(obj, what) if mat is None else mat
 
 
 def parse_partition(text: str) -> BlockPartition:
@@ -60,11 +114,6 @@ def parse_partition(text: str) -> BlockPartition:
         return BlockPartition(dims)
     except ValueError as exc:
         raise SchemaError(f"bad partition {text!r}: {exc}") from exc
-
-
-def _is_json_int(raw) -> bool:
-    # JSON true/false load as Python bools, which are ints too
-    return isinstance(raw, int) and not isinstance(raw, bool)
 
 
 def partition_from_json(obj) -> BlockPartition:

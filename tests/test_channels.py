@@ -611,6 +611,14 @@ def test_semantic_verdict_is_both_halves_of_one_pass():
 # helpers as they were before they were stacked
 # ---------------------------------------------------------------------------
 
+def pattern_rows(partition, patterns, c):
+    # the stacked rows that column block c may occupy
+    d = partition.total
+    slices = [[partition.block_slice(r) for r in pat[c]] for pat in patterns]
+    return np.array([n * d + i for n, sls in enumerate(slices) for sl in sls
+                     for i in range(sl.start, sl.stop)], dtype=int)
+
+
 def reference_kraus_from_block_patterns(partition, patterns, rng):
     """Completion that carries the fixed columns as a separate widened array."""
     d = partition.total
@@ -618,17 +626,9 @@ def reference_kraus_from_block_patterns(partition, patterns, rng):
     stacked = np.zeros((n_ops * d, d), dtype=complex)
     accepted = np.zeros((n_ops * d, 0), dtype=complex)
     for c in range(partition.num_blocks):
-        rows = []
-        for n, pat in enumerate(patterns):
-            for r in pat[c]:
-                sl = partition.block_slice(r)
-                rows.extend(range(n * d + sl.start, n * d + sl.stop))
-        rows = np.array(rows, dtype=int)
+        rows = pattern_rows(partition, patterns, c)
         dc = partition.dims[c]
-        basis = channels._nullspace(accepted[rows, :].conj().T, len(rows))
-        if basis.shape[1] < dc:
-            raise RuntimeError(f"pattern leaves column block {c} infeasible")
-        q, _ = np.linalg.qr(basis @ ginibre(rng, basis.shape[1], dc))
+        q = channels._complete_block(accepted[rows, :], dc, rng)
         cs = partition.block_slice(c)
         stacked[np.ix_(rows, range(cs.start, cs.stop))] = q
         widened = np.zeros((n_ops * d, dc), dtype=complex)
@@ -659,6 +659,87 @@ def test_generator_matches_widened_completion(monkeypatch):
     assert len(fast) == len(slow) == 4 * (8 * 4 + 1 * 2)
     for a, b in zip(fast, slow):
         assert np.array_equal(a, b)
+
+
+def reference_nullspace(constraints, dim):
+    # Orthonormal basis of {w : constraints @ w = 0} in C^dim from a full SVD:
+    # the completion's null basis before the projected Gaussian panel.
+    if constraints.shape[0] == 0:
+        return np.eye(dim, dtype=complex)
+    u, s, vh = np.linalg.svd(constraints)
+    cutoff = (s[0] if s.size else 0.0) * 1e-12
+    rank = int(np.sum(s > cutoff))
+    return vh[rank:].conj().T
+
+
+def random_block_patterns(partition, rng):
+    """Patterns of every shape the completion meets, infeasible ones included.
+
+    Single-row BIO and SBIO patterns, multi-row patterns, both violator
+    shapes, and patterns with too few operators to complete.
+    """
+    k, d = partition.num_blocks, partition.total
+    out = []
+    for _ in range(3):
+        n_ops = d + int(rng.integers(0, 3))
+        out.append([[[int(rng.integers(k))] for _ in range(k)] for _ in range(n_ops)])
+        out.append([[[int(r)] for r in rng.permutation(k)] for _ in range(n_ops)])
+        out.append([[sorted(rng.choice(k, int(rng.integers(1, k + 1)), replace=False).tolist())
+                     for _ in range(k)] for _ in range(max(1, n_ops // 2))])
+        if k >= 2:
+            bio = [[[int(rng.integers(k))] for _ in range(k)] for _ in range(n_ops)]
+            r1 = bio[0][0][0]
+            bio[0][0] = [r1, (r1 + 1 + int(rng.integers(k - 1))) % k]
+            out.append(bio)
+            sbio = [[[int(r)] for r in rng.permutation(k)] for _ in range(n_ops)]
+            largest = [int(np.argmax(partition.dims))]
+            for n in (0, 1):
+                sbio[n][0] = sbio[n][1] = largest
+            out.append(sbio)
+        few = int(rng.integers(1, max(2, d // 2)))
+        out.append([[[int(rng.integers(k))] for _ in range(k)] for _ in range(few)])
+    return out
+
+
+def test_projected_panel_fill_matches_null_basis_fill():
+    """The panel fill raises where the full-SVD null basis is too small, and
+    every block it fills lies in that null space."""
+    raised = filled = 0
+    for dims in GENERATOR_PARTITIONS + [(16, 16, 16)]:
+        p = BlockPartition(dims)
+        d = p.total
+        patterns_rng = np.random.default_rng(sum(dims) * 1000 + len(dims))
+        patterns = random_block_patterns(p, patterns_rng)
+        if d > 40:
+            patterns = patterns[:6] + patterns[-1:]
+        for t, patterns_t in enumerate(patterns):
+            rng = np.random.default_rng(t)
+            stacked = np.zeros((len(patterns_t) * d, d), dtype=complex)
+            failed = False
+            for c in range(p.num_blocks):
+                rows = pattern_rows(p, patterns_t, c)
+                start, dc = p.offsets[c], p.dims[c]
+                fixed = stacked[rows, :start]
+                basis = reference_nullspace(fixed.conj().T, len(rows))
+                try:
+                    q = channels._complete_block(fixed, dc, rng)
+                except RuntimeError:
+                    assert basis.shape[1] < dc
+                    failed = True
+                    break
+                assert basis.shape[1] >= dc
+                assert np.max(np.abs(q - basis @ (basis.conj().T @ q))) <= 1e-12
+                stacked[rows, start:start + dc] = q
+            if failed:
+                raised += 1
+                with pytest.raises(RuntimeError, match=f"column block {c} infeasible"):
+                    channels._kraus_from_block_patterns(p, patterns_t, np.random.default_rng(t))
+                continue
+            filled += 1
+            ops = channels._kraus_from_block_patterns(p, patterns_t, np.random.default_rng(t))
+            assert np.array_equal(ops, stacked.reshape(-1, d, d))
+            assert cptp_deviation(KrausSet(p, ops)) <= 1e-12
+    assert raised >= 10 and filled >= 100
 
 
 def reference_commutation_deviation(ks, rho):

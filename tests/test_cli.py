@@ -340,6 +340,32 @@ def test_malformed_dim_is_a_parse_error(tmp_path, capsys):
             assert message["kind"] == "parse" and '"dim"' in message["error"], (name, dim)
 
 
+def test_matrix_entries_must_be_numbers_in_float_range(tmp_path, capsys):
+    huge = "1" + "0" * 400  # a 401-digit JSON integer, past the float range
+    p = BlockPartition((1, 1))
+    files = (
+        ("matrix", {"dim": 2, "matrix": matrix_to_json(random_density_matrix(2, 0))},
+         ["measure", "--partition", "1,1", "--state"]),
+        ("kraus", kraus_to_json(KrausSet(p, np.array(block_projectors(p)))), ["classify"]),
+        ("effects", povm_to_json(Povm(random_povm(2, 2, 0))), ["dilate"]),
+    )
+    cases = [('{"dim": 1, "matrix": [[[%s, 0]]]}' % huge,
+              ["measure", "--partition", "1", "--state"], "entry (0, 0) is too large")]
+    for entry, why in ((["HUGE", 0], "is too large for a float"), (["1.0", False], "is not numeric"),
+                       ([1.0, True], "is not numeric"), (["0.5", 0.0], "is not numeric")):
+        for key, obj, argv in files:
+            obj = json.loads(json.dumps(obj))
+            (obj[key] if key == "matrix" else obj[key][0])[1][0] = entry
+            cases.append((json.dumps(obj).replace('"HUGE"', huge), argv, f"entry (1, 0) {why}"))
+    for text, argv, why in cases:
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1 and out == "" and err.count("\n") == 1, (argv, text)
+        message = json.loads(err)
+        assert message["kind"] == "parse" and why in message["error"], (argv, message)
+
+
 GOLDEN = Path(__file__).parent / "data" / "verify_defaults.txt"
 
 

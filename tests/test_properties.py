@@ -157,3 +157,58 @@ def test_dilation_matches_loop_and_is_unitary(d, n, seed):
     # a different skip would move a column by O(1)
     assert np.max(np.abs(v - reference_dilate(povm))) <= 1e-12
     assert np.max(np.abs(v.conj().T @ v - np.eye(d * n))) <= 1e-9
+
+
+# JSON numbers as json.loads returns them: floats (signed zeros, NaN and
+# infinities included) and ints (a JSON -0 is int 0); huge ints, some past the
+# float range, are one of the defects
+JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 0, 1, -1]),
+    st.integers(),
+)
+HUGE_INTS = st.integers(min_value=2**1000, max_value=2**1100).map(lambda v: v * (-1) ** v)
+NOT_NUMBERS = st.one_of(st.booleans(), st.none(), st.sampled_from(["1.0", "-0", "nan", ""]),
+                        st.text(max_size=2), st.just({}), st.just([1.0]))
+
+
+@st.composite
+def json_matrices(draw):
+    """Well-formed matrices, and matrices with one defect of the schema."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pair = st.lists(JSON_NUMBERS, min_size=2, max_size=2)
+    obj = draw(st.lists(st.lists(pair, min_size=c, max_size=c), min_size=r, max_size=r))
+    defect = draw(st.sampled_from(["none", "none", "number", "entry", "row", "matrix"]))
+    i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))
+    if defect == "number":
+        obj[i][j][draw(st.integers(0, 1))] = draw(st.one_of(NOT_NUMBERS, HUGE_INTS))
+    elif defect == "entry":
+        obj[i][j] = draw(st.one_of(JSON_NUMBERS, NOT_NUMBERS,
+                                   st.lists(JSON_NUMBERS, max_size=3)))
+    elif defect == "row":
+        obj[i] = draw(st.one_of(NOT_NUMBERS, st.lists(pair, max_size=c + 1)))
+    elif defect == "matrix":
+        obj = draw(st.one_of(st.just([]), NOT_NUMBERS, JSON_NUMBERS))
+    return obj
+
+
+def decoded(decode, obj):
+    try:
+        return decode(obj)
+    except serialize.SchemaError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=json_matrices())
+def test_flat_decode_equals_entry_loop(obj):
+    loop = decoded(lambda o: serialize._matrix_from_entries(o, "operator 3"), obj)
+    full = decoded(lambda o: serialize.matrix_from_json(o, "operator 3"), obj)
+    flat = serialize._matrix_from_flat(obj)
+    if isinstance(loop, str):
+        # rejected by both, with the loop's message naming the first bad entry
+        assert flat is None and full == loop
+    else:
+        assert same_bits(full, loop) and full.shape == loop.shape
+        # the loop only runs on what the flat conversion cannot decode
+        assert flat is not None or loop.shape[1] == 0
