@@ -34,15 +34,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import channels, counting, measures, naimark, serialize
-from .blockcore import BlockPartition, block_dephase, is_block_incoherent, validate_density_matrix
-from .sampling import random_density_matrices, random_povm
+from . import channels, counting, measures, naimark, serialize, verify
+from .blockcore import BlockPartition, validate_density_matrix
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200
-SUITES = ("appendix-a", "appendix-b", "lemmas", "inclusion", "naimark", "measures")
 
 
 def _tolerance(value) -> float:
@@ -126,180 +122,6 @@ def cmd_measure(args) -> tuple[int, str]:
     return 0, serialize.dumps(payload)
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-# ---------------------------------------------------------------------------
-
-class _Suite:
-    def __init__(self):
-        self.lines = []
-        self.ok = True
-
-    def check(self, name: str, passed: bool, detail: str = ""):
-        tag = "PASS" if passed else "FAIL"
-        suffix = f" {detail}" if detail else ""
-        self.lines.append(f"{tag} {name}{suffix}")
-        self.ok = self.ok and passed
-
-
-def _suite_appendix(partition: BlockPartition, seed: int, trials: int, strict: bool) -> _Suite:
-    suite = _Suite()
-    kind = "sbio" if strict else "bio"
-    structural = channels.is_sbio_structural if strict else channels.is_bio_structural
-
-    sets = [channels.gen_random(kind, partition, seed + t) for t in range(trials)]
-    worst = 0.0
-    all_ok = True
-    for ks in sets:
-        semantic, deviation = channels.semantic_verdict(ks, strict)
-        all_ok = all_ok and channels.verify_cptp(ks) and structural(ks) and semantic
-        worst = max(worst, deviation)
-    suite.check(
-        f"{kind}-structural-implies-semantic",
-        all_ok and worst <= 1e-9,
-        f"sets={trials} worst_dev={worst:.3e}",
-    )
-
-    rejected = 0
-    for t in range(trials):
-        bad = channels.gen_pattern_violating(kind, partition, seed + 10_000 + t)
-        if not channels.semantic_verdict(bad, strict)[0]:
-            rejected += 1
-    suite.check(
-        f"{kind}-pattern-violations-rejected",
-        rejected == trials,
-        f"rejected={rejected}/{trials}",
-    )
-
-    if strict:
-        # the sets above, each with 10 states from seeds seed + 20_000 + 10 t + r
-        worst_comm = 0.0
-        for t, ks in enumerate(sets):
-            first = seed + 20_000 + 10 * t
-            rhos = random_density_matrices(partition.total, range(first, first + 10))
-            worst_comm = max(worst_comm, channels.sbio_commutation_deviation(ks, rhos))
-        suite.check(
-            "sbio-commutes-with-dephasing",
-            worst_comm <= 1e-9,
-            f"states=10x{trials} worst_dev={worst_comm:.3e}",
-        )
-    return suite
-
-
-def _suite_lemmas(seed: int, trials: int) -> _Suite:
-    suite = _Suite()
-    for d in range(2, 6):
-        ones = BlockPartition([1] * d)
-        bio_total = counting.bio_bound(ones).total
-        sbio_total = counting.sbio_bound(ones).total
-        suite.check(
-            f"rank-one-bounds-d={d}",
-            counting.rank_one_reduction_check(d),
-            f"bio={bio_total} sbio={sbio_total}",
-        )
-    return suite
-
-
-def _suite_inclusion(partition: BlockPartition, seed: int, trials: int) -> _Suite:
-    suite = _Suite()
-    ok = all(
-        channels.is_sbio_structural(channels.gen_random("pbio", partition, seed + t))
-        for t in range(trials)
-    )
-    suite.check("pbio-within-sbio", ok, f"sets={trials}")
-    ok = all(
-        channels.is_bio_structural(channels.gen_random("sbio", partition, seed + t))
-        for t in range(trials)
-    )
-    suite.check("sbio-within-bio", ok, f"sets={trials}")
-    ok = all(
-        channels.is_mbio(channels.gen_random("bio", partition, seed + t))
-        for t in range(trials)
-    )
-    suite.check("bio-within-mbio", ok, f"sets={trials}")
-    return suite
-
-
-def _suite_naimark(seed: int, trials: int) -> _Suite:
-    suite = _Suite()
-    rng = np.random.default_rng(seed)
-    worst_prob = 0.0
-    worst_unitary = 0.0
-    worst_pvm = 0.0
-    for t in range(trials):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 5))
-        povm = naimark.Povm(random_povm(d, n, rng))
-        ext = naimark.dilate(povm)
-        big = d * n
-        v = ext.global_unitary
-        worst_unitary = max(
-            worst_unitary,
-            float(np.max(np.abs(v.conj().T @ v - np.eye(big)))),
-            float(np.max(np.abs(v @ v.conj().T - np.eye(big)))),
-        )
-        # P_i P_j should be P_i on the diagonal and zero off it
-        pvm = ext.pvm
-        products = pvm[:, None] @ pvm[None]
-        products[np.arange(n), np.arange(n)] -= pvm
-        worst_pvm = max(worst_pvm, float(np.max(np.abs(products))))
-        worst_pvm = max(worst_pvm, float(np.max(np.abs(pvm.sum(axis=0) - np.eye(big)))))
-        worst_prob = max(worst_prob, naimark.verify_dilation(povm, ext, trials=20, seed=seed + t))
-    suite.check("dilation-unitary", worst_unitary <= 1e-9, f"worst_dev={worst_unitary:.3e}")
-    suite.check("dilation-pvm-properties", worst_pvm <= 1e-9, f"worst_dev={worst_pvm:.3e}")
-    suite.check("dilation-probabilities", worst_prob <= 1e-10, f"worst_dev={worst_prob:.3e}")
-    return suite
-
-
-def _faithful(partition: BlockPartition, states) -> np.ndarray:
-    """Per state of a stack: each measure vanishes exactly when the state is free."""
-    incoherent = is_block_incoherent(partition, states, 1e-8)
-    return np.all([
-        (measure(partition, states) <= 1e-9) == incoherent
-        for measure in (measures.rel_entropy_block_coherence, measures.l1_block_coherence)
-    ], axis=0)
-
-
-def _suite_measures(seed: int, trials: int) -> _Suite:
-    suite = _Suite()
-    partitions = [BlockPartition(p) for p in ((1, 1), (2, 3), (1, 2, 2))]
-    faithful = True
-    for p in partitions:
-        rhos = random_density_matrices(p.total, range(seed, seed + trials))
-        frees = random_density_matrices(p.total, range(seed + 5_000, seed + 5_000 + trials))
-        for states in (rhos, block_dephase(p, frees)):
-            faithful = faithful and bool(np.all(_faithful(p, states)))
-    suite.check("nonnegativity-and-faithfulness", faithful, f"states={2 * trials}/partition")
-
-    p = BlockPartition((2, 3))
-    n_channels = max(1, trials // 10)
-    for probe in ("monotonicity", "strong-monotonicity"):
-        worst = 0.0
-        offending = None
-        for t in range(n_channels):
-            ch = channels.gen_random("bio", p, seed + t)
-            report = measures.probe_report(
-                probe, measures.rel_entropy_block_coherence, p, ch, trials=20, seed=seed + t
-            )
-            if report["worst_violation"] > worst:
-                worst = report["worst_violation"]
-                offending = report
-        detail = f"channels={n_channels} worst_violation={worst:.3e}"
-        if worst > 1e-8 and offending is not None:
-            # keep the offending state around so the violation can be replayed
-            artifact = f"blockcoh-counterexample-{probe}.json"
-            serialize.write_json_atomic(artifact, offending)
-            detail += f" counterexample={artifact}"
-        suite.check(probe, worst <= 1e-8, detail)
-
-    worst_convex = max(
-        measures.convexity_probe(measures.rel_entropy_block_coherence, p, trials=trials, seed=seed),
-        measures.convexity_probe(measures.l1_block_coherence, p, trials=trials, seed=seed),
-    )
-    suite.check("convexity", worst_convex <= 1e-8, f"worst_violation={worst_convex:.3e}")
-    return suite
-
-
 def cmd_verify(args) -> tuple[int, str]:
     if args.trials < 1:
         raise serialize.SchemaError(f"--trials must be at least 1, got {args.trials}")
@@ -308,19 +130,17 @@ def cmd_verify(args) -> tuple[int, str]:
             f"{args.suite} needs at least two blocks: the single-block partition "
             f"{args.partition} admits no violating pattern"
         )
-    if args.suite == "appendix-a":
-        suite = _suite_appendix(args.partition, args.seed, args.trials, strict=False)
-    elif args.suite == "appendix-b":
-        suite = _suite_appendix(args.partition, args.seed, args.trials, strict=True)
-    elif args.suite == "lemmas":
-        suite = _suite_lemmas(args.seed, args.trials)
-    elif args.suite == "inclusion":
-        suite = _suite_inclusion(args.partition, args.seed, args.trials)
-    elif args.suite == "naimark":
-        suite = _suite_naimark(args.seed, args.trials)
-    else:
-        suite = _suite_measures(args.seed, args.trials)
-    return (0 if suite.ok else 1), "".join(line + "\n" for line in suite.lines)
+    checks = verify.SUITES[args.suite](args.partition, args.seed, args.trials)
+    lines = []
+    for check in checks:
+        detail = check.detail
+        if check.counterexample is not None:
+            # keep the offending state around so the violation can be replayed
+            artifact = f"blockcoh-counterexample-{check.name}.json"
+            serialize.write_json_atomic(artifact, check.counterexample)
+            detail += f" counterexample={artifact}"
+        lines.append(f"{'PASS' if check.passed else 'FAIL'} {check.name} {detail}\n")
+    return (0 if all(check.passed for check in checks) else 1), "".join(lines)
 
 
 def _partition_arg(text: str) -> BlockPartition:
@@ -386,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=("rel-entropy", "l1"), default="rel-entropy")
 
     p = add("verify", cmd_verify, "run a named verification suite", p23, seed=True)
-    p.add_argument("suite", choices=SUITES)
+    p.add_argument("suite", choices=tuple(verify.SUITES))
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
 
     return parser

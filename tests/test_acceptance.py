@@ -5,42 +5,17 @@ PASS lines; each test also enforces its tolerance and, where stated, its
 runtime budget.
 """
 
-import json
 import time
 
 import numpy as np
 
-from blockcoh.blockcore import BlockPartition, block_dephase, is_block_incoherent
-from blockcoh.channels import (
-    KrausSet,
-    bio_semantic_deviation,
-    gen_pattern_violating,
-    gen_random,
-    is_bio_semantic,
-    is_bio_structural,
-    is_mbio,
-    is_sbio_semantic,
-    is_sbio_structural,
-    sbio_commutation_deviation,
-    sbio_semantic_deviation,
-    verify_cptp,
-)
+from blockcoh import verify
+from blockcoh.blockcore import BlockPartition
+from blockcoh.channels import KrausSet, gen_random, is_bio_structural, is_sbio_structural
 from blockcoh.cli import main
-from blockcoh.counting import (
-    bio_bound,
-    rank_one_bio_total,
-    rank_one_sbio_total,
-    sbio_bound,
-)
-from blockcoh.measures import (
-    convexity_probe,
-    l1_block_coherence,
-    monotonicity_probe,
-    rel_entropy_block_coherence,
-    strong_monotonicity_probe,
-)
-from blockcoh.naimark import Povm, dilate, verify_dilation
-from blockcoh.sampling import random_cptp, random_density_matrix, random_povm
+from blockcoh.counting import bio_bound, sbio_bound
+from blockcoh.naimark import Povm, dilate
+from blockcoh.sampling import random_cptp, random_povm
 
 P23 = BlockPartition((2, 3))
 
@@ -51,53 +26,35 @@ def report(name, detail):
 
 def test_criterion_1_bio_forward_check():
     start = time.perf_counter()
-    worst = 0.0
-    for seed in range(500):
-        ks = gen_random("bio", P23, seed)
-        assert verify_cptp(ks) and is_bio_structural(ks)
-        assert is_bio_semantic(ks)
-        worst = max(worst, bio_semantic_deviation(ks))
-    assert worst <= 1e-9
-    for seed in range(500):
-        bad = gen_pattern_violating("bio", P23, seed)
-        assert verify_cptp(bad)
-        assert not is_bio_semantic(bad)
+    members = verify.structural_implies_semantic(
+        "bio", [gen_random("bio", P23, seed) for seed in range(500)])
+    assert members.passed
+    assert verify.pattern_violations_rejected("bio", P23, range(500)).passed
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report("criterion 1, column-pattern forward check",
-           f"500+500 sets, worst_dev={worst:.3e}, {elapsed:.1f}s")
+           f"500+500 sets, worst_dev={members.worst:.3e}, {elapsed:.1f}s")
 
 
 def test_criterion_2_sbio_forward_check():
     start = time.perf_counter()
-    worst = 0.0
-    worst_comm = 0.0
-    for seed in range(500):
-        ks = gen_random("sbio", P23, seed)
-        assert verify_cptp(ks) and is_sbio_structural(ks)
-        assert is_sbio_semantic(ks)
-        worst = max(worst, sbio_semantic_deviation(ks))
-        rhos = np.stack([
-            random_density_matrix(5, 100_000 + 100 * seed + r) for r in range(100)
-        ])
-        worst_comm = max(worst_comm, sbio_commutation_deviation(ks, rhos))
-    assert worst <= 1e-9
-    assert worst_comm <= 1e-9
-    for seed in range(500):
-        bad = gen_pattern_violating("sbio", P23, seed)
-        assert verify_cptp(bad)
-        assert not is_sbio_semantic(bad)
+    sets = [gen_random("sbio", P23, seed) for seed in range(500)]
+    members = verify.structural_implies_semantic("sbio", sets)
+    assert members.passed
+    # 100 states per set, from seeds 100_000 + 100 * seed + r
+    commutes = verify.commutes_with_dephasing(sets, 100_000, 100)
+    assert commutes.passed
+    assert verify.pattern_violations_rejected("sbio", P23, range(500)).passed
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report("criterion 2, row-and-column pattern forward check",
-           f"500+500 sets, worst_dev={worst:.3e}, worst_comm={worst_comm:.3e}, {elapsed:.1f}s")
+           f"500+500 sets, worst_dev={members.worst:.3e}, "
+           f"worst_comm={commutes.worst:.3e}, {elapsed:.1f}s")
 
 
 def test_criterion_3_rank_one_reductions():
     for d in range(2, 7):
-        ones = BlockPartition([1] * d)
-        assert bio_bound(ones).total == rank_one_bio_total(d)
-        assert sbio_bound(ones).total == rank_one_sbio_total(d)
+        assert verify.rank_one_bounds(d).passed
     assert bio_bound(BlockPartition((1, 1, 1))).total == 39
     assert sbio_bound(BlockPartition((1, 1, 1))).total == 15
     report("criterion 3, rank-one bound reductions", "d=2..6 exact, d=3 -> 39 and 15")
@@ -113,39 +70,16 @@ def test_criterion_4_block_bounds():
 
 
 def test_criterion_5_inclusion_chain():
-    violations = 0
-    for seed in range(200):
-        if not is_sbio_structural(gen_random("pbio", P23, seed)):
-            violations += 1
-        if not is_bio_structural(gen_random("sbio", P23, seed)):
-            violations += 1
-        if not is_mbio(gen_random("bio", P23, seed)):
-            violations += 1
-    assert violations == 0
+    for inner in ("pbio", "sbio", "bio"):
+        assert verify.inclusion(inner, P23, range(200)).passed
     report("criterion 5, inclusion chain", "3 x 200 sets, zero violations")
 
 
 def test_criterion_6_naimark_dilation():
     start = time.perf_counter()
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for t in range(100):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 5))
-        povm = Povm(random_povm(d, n, rng))
-        ext = dilate(povm)
-        big = d * n
-        v = ext.global_unitary
-        assert np.max(np.abs(v.conj().T @ v - np.eye(big))) <= 1e-9
-        assert np.max(np.abs(v @ v.conj().T - np.eye(big))) <= 1e-9
-        for i in range(n):
-            assert int(round(np.trace(ext.pvm[i]).real)) == d
-            for j in range(n):
-                want = ext.pvm[i] if i == j else 0.0
-                assert np.max(np.abs(ext.pvm[i] @ ext.pvm[j] - want)) <= 1e-9
-        assert np.max(np.abs(ext.pvm.sum(axis=0) - np.eye(big))) <= 1e-9
-        worst = max(worst, verify_dilation(povm, ext, trials=100, seed=t))
-    assert worst <= 1e-10
+    # 100 POVMs from default_rng(0), each dilation checked on 100 states from seed t
+    unitary, pvm, probabilities = verify.dilation(0, povms=100, states=100)
+    assert unitary.passed and pvm.passed and probabilities.passed
 
     kets = [np.array([np.cos(j * np.pi / 3), np.sin(j * np.pi / 3)]) for j in range(3)]
     trine = Povm(np.array([(2 / 3) * np.outer(k, k.conj()) for k in kets]))
@@ -160,41 +94,23 @@ def test_criterion_6_naimark_dilation():
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report("criterion 6, projective dilation",
-           f"100 POVMs, worst_dev={worst:.3e}, trine exact, {elapsed:.1f}s")
+           f"100 POVMs, worst_dev={probabilities.worst:.3e}, trine exact, {elapsed:.1f}s")
 
 
 def test_criterion_7_measure_axioms():
-    # two-sided faithfulness on 1000 states per partition
-    for dims in [(1, 1), (2, 3), (1, 2, 2)]:
-        p = BlockPartition(dims)
-        for t in range(500):
-            rho = random_density_matrix(p.total, t)
-            free = block_dephase(p, rho)
-            for state in (rho, free):
-                for measure in (rel_entropy_block_coherence, l1_block_coherence):
-                    assert measure(p, state) >= -1e-12
-                    assert (measure(p, state) <= 1e-9) == is_block_incoherent(p, state, 1e-8)
+    # two-sided faithfulness on 500 states per partition and their dephasings
+    assert verify.faithfulness(((1, 1), (2, 3), (1, 2, 2)), range(500), range(500)).passed
 
     # monotonicity, plain and selective, for the entropy-gap measure
-    worst_mono = 0.0
-    worst_strong = 0.0
-    for seed in range(200):
-        ch = gen_random("bio", P23, seed)
-        worst_mono = max(worst_mono, monotonicity_probe(
-            rel_entropy_block_coherence, P23, ch, trials=200, seed=seed))
-        worst_strong = max(worst_strong, strong_monotonicity_probe(
-            rel_entropy_block_coherence, P23, ch, trials=200, seed=seed))
-    assert worst_mono <= 1e-8
-    assert worst_strong <= 1e-8
+    mono = verify.monotonicity("monotonicity", P23, range(200), trials=200)
+    strong = verify.monotonicity("strong-monotonicity", P23, range(200), trials=200)
+    assert mono.passed and strong.passed
 
-    worst_convex = max(
-        convexity_probe(rel_entropy_block_coherence, P23, trials=500, seed=0),
-        convexity_probe(l1_block_coherence, P23, trials=500, seed=0),
-    )
-    assert worst_convex <= 1e-8
+    convex = verify.convexity(P23, trials=500, seed=0)
+    assert convex.passed
     report("criterion 7, measure axioms",
-           f"faithfulness 1000x3, mono={worst_mono:.3e}, "
-           f"strong={worst_strong:.3e}, convex={worst_convex:.3e}")
+           f"faithfulness 1000x3, mono={mono.worst:.3e}, "
+           f"strong={strong.worst:.3e}, convex={convex.worst:.3e}")
 
 
 def test_criterion_8_rank_one_classifier_equivalence():

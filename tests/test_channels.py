@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from blockcoh import channels
+from blockcoh import channels, verify
 from blockcoh.blockcore import (
     ZERO_TOL,
     BlockPartition,
@@ -197,13 +197,9 @@ def test_structural_implies_semantic_on_generated_sets():
     # forward agreement of the two classifier routes, across partitions
     for dims in AGREEMENT_PARTITIONS:
         p = BlockPartition(dims)
-        for seed in range(500):
-            ks = gen_random("bio", p, seed)
-            assert is_bio_structural(ks)
-            assert is_bio_semantic(ks)
-            ks = gen_random("sbio", p, seed)
-            assert is_sbio_structural(ks)
-            assert is_sbio_semantic(ks)
+        for kind in ("bio", "sbio"):
+            sets = [gen_random(kind, p, seed) for seed in range(500)]
+            assert verify.structural_implies_semantic(kind, sets).passed, (dims, kind)
 
 
 def test_bio_but_not_sbio_example():
@@ -214,13 +210,8 @@ def test_bio_but_not_sbio_example():
 
 
 def test_violating_sets_fail_semantically():
-    for seed in range(50):
-        bad = gen_pattern_violating("bio", P23, seed)
-        assert verify_cptp(bad)
-        assert not is_bio_semantic(bad)
-        bad = gen_pattern_violating("sbio", P23, seed)
-        assert verify_cptp(bad)
-        assert not is_sbio_semantic(bad)
+    for kind in ("bio", "sbio"):
+        assert verify.pattern_violations_rejected(kind, P23, range(50)).passed
 
 
 @pytest.mark.parametrize("dims", [
@@ -243,10 +234,8 @@ def test_violating_generator_rejects_single_block():
 
 
 def test_inclusion_chain_on_generated_sets():
-    for seed in range(50):
-        assert is_sbio_structural(gen_random("pbio", P23, seed))
-        assert is_bio_structural(gen_random("sbio", P23, seed))
-        assert is_mbio(gen_random("bio", P23, seed))
+    for inner in ("pbio", "sbio", "bio"):
+        assert verify.inclusion(inner, P23, range(50)).passed
 
 
 def test_converse_probe_random_search(tmp_path):
@@ -281,10 +270,9 @@ def test_free_state_preservation():
 
 
 def test_sbio_commutation_invariant():
-    for seed in range(50):
-        ks = gen_random("sbio", P23, seed)
-        rhos = np.stack([random_density_matrix(5, 10 * seed + r) for r in range(10)])
-        assert sbio_commutation_deviation(ks, rhos) <= 1e-9
+    # 10 states per set, from seeds 10 * seed + r
+    sets = [gen_random("sbio", P23, seed) for seed in range(50)]
+    assert verify.commutes_with_dephasing(sets, 0, 10).passed
 
 
 def test_commutation_deviation_detects_violations():

@@ -1,15 +1,18 @@
+import importlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blockcoh.blockcore import BlockPartition, block_projectors
-from blockcoh.channels import KrausSet, classifier_report, gen_random
-from blockcoh.cli import SUITES, main
+from blockcoh import measures
+from blockcoh.blockcore import BlockPartition, block_dephase, block_projectors, is_block_incoherent
+from blockcoh.channels import KrausSet, classifier_report, gen_pattern_violating, gen_random
+from blockcoh.cli import main
 from blockcoh.sampling import haar_unitary, random_density_matrix, random_povm
 from blockcoh.serialize import kraus_to_json, matrix_to_json, povm_to_json
-from blockcoh.naimark import Povm
+from blockcoh.naimark import NaimarkExtension, Povm
+from blockcoh.verify import SUITES, faithful
 
 
 def run(capsys, *argv):
@@ -422,10 +425,6 @@ def test_appendix_suites_reject_single_block_partitions(capsys):
 
 
 def test_stacked_faithfulness_matches_per_state_loop():
-    from blockcoh import measures
-    from blockcoh.blockcore import block_dephase, is_block_incoherent
-    from blockcoh.cli import _faithful
-
     verdicts = set()
     for dims in ((1, 1), (2, 3), (1, 2, 2), (4,)):
         p = BlockPartition(dims)
@@ -439,11 +438,86 @@ def test_stacked_faithfulness_matches_per_state_loop():
         want = []
         for state in states:
             free = is_block_incoherent(p, state, 1e-8)
-            want.append(
-                ((measures.rel_entropy_block_coherence(p, state) <= 1e-9) == free)
-                and ((measures.l1_block_coherence(p, state) <= 1e-9) == free)
-            )
-        got = _faithful(p, np.stack(states))
+            want.append(all(
+                value >= -1e-12 and (value <= 1e-9) == free
+                for value in (measures.rel_entropy_block_coherence(p, state),
+                              measures.l1_block_coherence(p, state))
+            ))
+        got = faithful(p, np.stack(states))
         assert got.tolist() == want, dims
         verdicts.update(want)
     assert verdicts == {True, False}
+
+
+def scaled(dilate):
+    def dilate_scaled(povm):
+        ext = dilate(povm)
+        return NaimarkExtension(ext.system_dim, ext.outcomes, (1 + 1e-6) * ext.global_unitary,
+                                ext.ancilla_state_index)
+    return dilate_scaled
+
+
+def unequal_ranks(dilate):
+    # orthogonal coordinate projectors summing to I, of ranks d + 1, d, ..., d, d - 1
+    def dilate_unequal(povm):
+        ext = dilate(povm)
+        owner = np.repeat(np.arange(ext.outcomes), ext.system_dim)
+        owner[-1] = 0
+        ext.pvm = np.array([np.diag(owner == i) for i in range(ext.outcomes)]).astype(complex)
+        return ext
+    return dilate_unequal
+
+
+# (case, suite, the checks that must print FAIL, the blockcoh function replaced,
+#  and the replacement, made from the original)
+BROKEN_INPUTS = [
+    ("members-violate", "appendix-a", ["bio-structural-implies-semantic"],
+     "channels.gen_random", lambda gen: gen_pattern_violating),
+    ("violators-are-members", "appendix-a", ["bio-pattern-violations-rejected"],
+     "channels.gen_pattern_violating", lambda gen: gen_random),
+    # still violating, so only the completeness requirement can leave them unrejected
+    ("violators-incomplete", "appendix-a", ["bio-pattern-violations-rejected"],
+     "channels.gen_pattern_violating",
+     lambda bad: lambda kind, p, seed: KrausSet(p, 2.0 * bad(kind, p, seed).operators)),
+    ("violators-are-members", "appendix-b", ["sbio-pattern-violations-rejected"],
+     "channels.gen_pattern_violating", lambda gen: gen_random),
+    ("members-are-bio", "appendix-b",
+     ["sbio-structural-implies-semantic", "sbio-commutes-with-dephasing"],
+     "channels.gen_random", lambda gen: lambda kind, p, seed: gen("bio", p, seed)),
+    ("bio-bound-off", "lemmas", [f"rank-one-bounds-d={d}" for d in range(2, 6)],
+     "counting.bio_bound", lambda bound: lambda p: bound(BlockPartition(p.dims + (1,)))),
+    ("members-are-dense", "inclusion", ["pbio-within-sbio", "sbio-within-bio", "bio-within-mbio"],
+     "channels.gen_random", lambda gen: lambda kind, p, seed: gen("unitary", p, seed)),
+    ("scaled", "naimark", ["dilation-unitary", "dilation-pvm-properties",
+                           "dilation-probabilities"], "naimark.dilate", scaled),
+    ("unequal-ranks", "naimark", ["dilation-pvm-properties"], "naimark.dilate", unequal_ranks),
+    ("l1-negative-on-free-states", "measures", ["nonnegativity-and-faithfulness"],
+     "measures.l1_block_coherence", lambda l1: lambda p, rho: np.where(
+         is_block_incoherent(p, rho, 1e-8), -1e-6, l1(p, rho))),
+    ("gap-shifted", "measures", ["nonnegativity-and-faithfulness"],
+     "measures.rel_entropy_block_coherence", lambda gap: lambda p, rho: gap(p, rho) + 1.0),
+    ("gap-negated", "measures", ["monotonicity", "strong-monotonicity", "convexity"],
+     "measures.rel_entropy_block_coherence", lambda gap: lambda p, rho: -gap(p, rho)),
+]
+
+
+@pytest.mark.parametrize("suite, failing, target, breaking", [case[1:] for case in BROKEN_INPUTS],
+                         ids=[f"{case[1]}-{case[0]}" for case in BROKEN_INPUTS])
+def test_every_verify_check_can_fail(suite, failing, target, breaking, capsys, tmp_path,
+                                     monkeypatch):
+    module, name = target.split(".")
+    module = importlib.import_module(f"blockcoh.{module}")
+    monkeypatch.setattr(module, name, breaking(getattr(module, name)))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", suite, "--trials", "10")
+    assert (code, err) == (1, "")
+    lines = {line.split()[1]: line for line in out.splitlines()}
+    for name in failing:
+        assert lines[name].startswith(f"FAIL {name} "), out
+    # a failed probe writes its counterexample into the cwd and names it; nothing else is written
+    probes = [name for name in failing if name.endswith("monotonicity")]
+    artifacts = [f"blockcoh-counterexample-{probe}.json" for probe in probes]
+    assert sorted(path.name for path in tmp_path.iterdir()) == artifacts
+    for probe, artifact in zip(probes, artifacts):
+        assert lines[probe].endswith(f" counterexample={artifact}")
+        assert json.loads((tmp_path / artifact).read_text())["probe"] == probe

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from blockcoh import measures
-from blockcoh.blockcore import (
-    BlockPartition,
-    block_dephase,
-    block_projectors,
-    is_block_incoherent,
-)
+from blockcoh import measures, verify
+from blockcoh.blockcore import BlockPartition, block_dephase, block_projectors
 from blockcoh.channels import PROB_TOL, KrausSet, gen_random
 from blockcoh.measures import (
     PROBE_CHUNK,
@@ -94,16 +89,8 @@ def test_dimension_checks():
 
 
 def test_nonnegativity_and_faithfulness():
-    for dims in [(1, 1), (2, 3), (1, 2, 2)]:
-        p = BlockPartition(dims)
-        for seed in range(100):
-            rho = random_density_matrix(p.total, seed)
-            free = block_dephase(p, rho)
-            for state in (rho, free):
-                for measure in (rel_entropy_block_coherence, l1_block_coherence):
-                    value = measure(p, state)
-                    assert value >= -1e-12
-                    assert (value <= 1e-9) == is_block_incoherent(p, state, 1e-8)
+    # 100 states per partition and their dephasings
+    assert verify.faithfulness([(1, 1), (2, 3), (1, 2, 2)], range(100), range(100)).passed
 
 
 def test_block_unitary_invariance_of_entropy_gap():
@@ -127,10 +114,7 @@ def test_monotonicity_probe_examples():
     dephasing = KrausSet(P23, np.array(block_projectors(P23)))
     assert monotonicity_probe(rel_entropy_block_coherence, P23, dephasing, trials=20, seed=0) == 0.0
 
-    for seed in range(10):
-        ch = gen_random("bio", P23, seed)
-        worst = monotonicity_probe(rel_entropy_block_coherence, P23, ch, trials=50, seed=seed)
-        assert worst <= 1e-8
+    assert verify.monotonicity("monotonicity", P23, range(10), trials=50).passed
 
 
 def test_probe_rejects_non_free_channel():
@@ -168,10 +152,7 @@ def test_strong_monotonicity_dephasing_on_free_input():
 
 
 def test_strong_monotonicity_probe_on_generated_channels():
-    for seed in range(10):
-        ch = gen_random("bio", P23, seed)
-        worst = strong_monotonicity_probe(rel_entropy_block_coherence, P23, ch, trials=50, seed=seed)
-        assert worst <= 1e-8
+    assert verify.monotonicity("strong-monotonicity", P23, range(10), trials=50).passed
 
 
 def test_probe_report_schema():
