@@ -49,6 +49,8 @@ from .sampling import as_rng, ginibre, haar_unitary
 CPTP_TOL = 1e-9
 # Selective branches below this probability are dropped.
 PROB_TOL = 1e-12
+# Entries of one Gram panel of the MBIO check (16 bytes each as computed).
+MBIO_PANEL = 1 << 16
 
 GEN_KINDS = ("bio", "sbio", "pbio", "unitary")
 
@@ -213,15 +215,28 @@ def _mbio_pairs(ks: KrausSet):
     """Same-block pairs of the summed output sum_n K_n|x><y|K_n^dag.
 
     The sum over branches does not factor into block maxima, so each column
-    block takes one Gram contraction of its columns against themselves.
+    block takes a Gram contraction of its columns against themselves,
+    gram[a, x, b, y] = sum_n K_n[a, x] conj(K_n[b, y]).  It is formed a
+    panel of rows a at a time, at most ``MBIO_PANEL`` entries (one row at
+    least), and its magnitudes are laid out as [a, b, x, y], so a pair's
+    scale is the maximum over the two leading axes and its deviation the
+    same maximum over the (a, b) in different blocks only.
     """
     p, ops = ks.partition, ks.operators
-    off = ~block_mask(p)
+    d, off = p.total, ~block_mask(p)[:, :, None, None]
     for l in range(p.num_blocks):
-        cols = ops[:, :, p.block_slice(l)]
-        # gram[a, x, b, y] = sum_n K_n[a, x] conj(K_n[b, y])
-        gram = np.abs(np.tensordot(cols, cols.conj(), axes=(0, 0))).swapaxes(1, 2)
-        yield gram[off].max(axis=0, initial=0.0), gram.max(axis=(0, 1))
+        dc = p.dims[l]
+        cols = ops[:, :, p.block_slice(l)].reshape(len(ops), d * dc)
+        right = cols.conj()
+        step = max(1, MBIO_PANEL // (d * dc * dc))
+        dev, scale = np.zeros((dc, dc)), np.zeros((dc, dc))
+        for a in range(0, d, step):
+            rows = min(step, d - a)
+            gram = (cols[:, a * dc:(a + rows) * dc].T @ right).reshape(rows, dc, d, dc)
+            mag = np.abs(gram.transpose(0, 2, 1, 3), out=np.empty((rows, d, dc, dc)))
+            np.maximum(scale, mag.max(axis=(0, 1)), out=scale)
+            np.maximum(dev, mag.max(axis=(0, 1), where=off[a:a + rows], initial=0.0), out=dev)
+        yield dev, scale
 
 
 def _holds(pairs, tol: float) -> bool:

@@ -39,6 +39,7 @@ from .blockcore import BlockPartition, validate_density_matrix
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200
+DEFAULT_PARTITION = BlockPartition((2, 3))
 
 
 def _tolerance(value) -> float:
@@ -54,15 +55,17 @@ def _tolerance(value) -> float:
 
 
 def _read_json(path: str):
+    # the whole text, then one operator at a time (serialize.load_json)
     if path == "-":
-        return json.load(sys.stdin)
+        return serialize.load_json(sys.stdin.read())
     with open(path) as fh:
-        return json.load(fh)
+        text = fh.read()
+    return serialize.load_json(text)
 
 
 def cmd_classify(args) -> tuple[int, str]:
-    obj = _read_json(args.kraus_file)
-    ks = serialize.kraus_from_json(obj)
+    # the parsed document is dropped here, before the classifiers run
+    ks = serialize.kraus_from_json(_read_json(args.kraus_file))
     if args.partition is not None:
         ks = channels.KrausSet(args.partition, ks.operators)
     report = channels.classifier_report(ks, _tolerance(args.tol))
@@ -125,12 +128,19 @@ def cmd_measure(args) -> tuple[int, str]:
 def cmd_verify(args) -> tuple[int, str]:
     if args.trials < 1:
         raise serialize.SchemaError(f"--trials must be at least 1, got {args.trials}")
-    if args.suite in ("appendix-a", "appendix-b") and args.partition.num_blocks < 2:
+    partition = args.partition
+    if partition is None:
+        partition = DEFAULT_PARTITION
+    elif args.suite in verify.FIXED_PARTITION_SUITES:
+        raise serialize.SchemaError(
+            f"verify {args.suite} runs on fixed partitions and takes no --partition"
+        )
+    if args.suite in ("appendix-a", "appendix-b") and partition.num_blocks < 2:
         raise serialize.SchemaError(
             f"{args.suite} needs at least two blocks: the single-block partition "
-            f"{args.partition} admits no violating pattern"
+            f"{partition} admits no violating pattern"
         )
-    checks = verify.SUITES[args.suite](args.partition, args.seed, args.trials)
+    checks = verify.SUITES[args.suite](partition, args.seed, args.trials)
     lines = []
     for check in checks:
         detail = check.detail
@@ -185,16 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         return p
 
-    p23 = BlockPartition((2, 3))
     p = add("classify", cmd_classify, "classify a Kraus-set file")
     p.add_argument("kraus_file", help="Kraus-set JSON file, or - for stdin")
     p.add_argument("--tol", type=float, default=None,
                    help="classifier tolerance (default: BLOCKCOH_TOL or 1e-10)")
 
-    p = add("gen", cmd_gen, "generate a random channel of a class", p23, seed=True)
+    p = add("gen", cmd_gen, "generate a random channel of a class", DEFAULT_PARTITION, seed=True)
     p.add_argument("--class", dest="kind", required=True, choices=channels.GEN_KINDS)
 
-    p = add("bound", cmd_bound, "operator-count bound for a partition", p23)
+    p = add("bound", cmd_bound, "operator-count bound for a partition", DEFAULT_PARTITION)
     p.add_argument("--class", dest="kind", required=True, choices=("bio", "sbio"))
 
     p = add("dilate", cmd_dilate, "dilate a POVM file to a projective measurement", False)
@@ -205,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--measure", choices=("rel-entropy", "l1"), default="rel-entropy")
 
-    p = add("verify", cmd_verify, "run a named verification suite", p23, seed=True)
+    # default None, so that an explicit --partition is told from the default 2,3
+    p = add("verify", cmd_verify, "run a named verification suite", None, seed=True)
     p.add_argument("suite", choices=tuple(verify.SUITES))
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
 

@@ -6,6 +6,10 @@ A state file is {"dim": d, "matrix": [...]}.  A Kraus-set file is
 {"dim": d, "partition": [d_1, ...], "kraus": [matrix, ...]}.  A POVM file is
 {"dim": d, "effects": [matrix, ...]}.  Partitions on the command line are
 comma-separated positive integers, e.g. "2,3".
+
+``load_json`` reads these files one operator at a time: each matrix of a
+"kraus" or "effects" array is decoded as soon as it is parsed, so the
+parsed Python tree of only one matrix is alive at any time.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import cmath
 import itertools
 import json
 import os
-import tempfile
+import re
+import stat
 
 import numpy as np
 
@@ -103,9 +108,97 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
 
     One flat conversion decodes a well-formed matrix; anything else goes
     through the entry loop, whose SchemaError names the first bad entry.
+    A matrix that ``load_json`` has already decoded (a 2-D complex array)
+    is passed through.
     """
+    if isinstance(obj, np.ndarray) and obj.dtype == complex and obj.ndim == 2:
+        return obj
     mat = _matrix_from_flat(obj)
     return _matrix_from_entries(obj, what) if mat is None else mat
+
+
+# The top-level arrays whose elements load_json decodes as it parses them.
+MATRIX_ARRAYS = ("kraus", "effects")
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+class _Unwalkable(Exception):
+    """The text is not an object that the member walk can finish."""
+
+
+def _past(text: str, pos: int, char: str) -> int:
+    # the position after ``char`` and the whitespace around it
+    pos = _SPACE.match(text, pos).end()
+    if not text.startswith(char, pos):
+        raise _Unwalkable
+    return _SPACE.match(text, pos + 1).end()
+
+
+def _walk(text: str, pos: int, close: str, item):
+    """Members of the object or array opened at ``pos``, up to ``close``.
+
+    ``item(pos)`` parses one member and returns the position after it.
+    Returns the position after ``close``.
+    """
+    pos = _past(text, pos, "{" if close == "}" else "[")
+    if text.startswith(close, pos):
+        return pos + 1
+    while True:
+        pos = _SPACE.match(text, item(pos)).end()
+        if text.startswith(close, pos):
+            return pos + 1
+        pos = _past(text, pos, ",")
+
+
+def _load_object(text: str) -> dict:
+    # every key and value is parsed by json's own raw_decode, so the number
+    # and string grammar stay json's; a repeated key keeps its first place
+    # and its last value, as in json.loads
+    obj = {}
+
+    def member(pos):
+        if not text.startswith('"', pos):
+            raise _Unwalkable
+        key, pos = _DECODER.raw_decode(text, pos)
+        pos = _past(text, pos, ":")
+        if key in MATRIX_ARRAYS and text.startswith("[", pos):
+            obj[key] = items = []
+            return _walk(text, pos, "]", lambda pos: _matrix_item(text, pos, items))
+        obj[key], pos = _DECODER.raw_decode(text, pos)
+        return pos
+
+    end = _walk(text, 0, "}", member)
+    if _SPACE.match(text, end).end() != len(text):
+        raise _Unwalkable
+    return obj
+
+
+def _matrix_item(text: str, pos: int, items: list) -> int:
+    # one array element, decoded as soon as it is parsed; an element the flat
+    # decode declines stays as parsed, for the schema functions to reject
+    raw, pos = _DECODER.raw_decode(text, pos)
+    mat = _matrix_from_flat(raw)
+    items.append(raw if mat is None else mat)
+    return pos
+
+
+def load_json(text: str):
+    """The document ``text`` as json.loads gives it, matrices decoded on the way.
+
+    A top-level object is walked member by member, and every element of a
+    "kraus" or "effects" array is decoded by the flat conversion as soon as
+    json has parsed it, so only one matrix's Python tree is alive at a time.
+    Those elements come back as complex arrays, which matrix_from_json passes
+    through; elements the flat conversion declines stay as parsed.  A
+    document the walk cannot finish (invalid JSON, a top level that is not an
+    object) goes to json.loads, which returns or raises as it always does.
+    """
+    try:
+        return _load_object(text)
+    except (_Unwalkable, ValueError, RecursionError):
+        pass  # outside the handler, so the partial walk is freed first
+    return json.loads(text)
 
 
 def parse_partition(text: str) -> BlockPartition:
@@ -210,11 +303,20 @@ def write_json_atomic(path: str, obj):
 
 
 def write_text_atomic(path: str, text: str):
-    """Write text to a sibling temp file, then rename over the target."""
+    """Write text to a sibling temp file, then rename over the target.
+
+    The output gets the mode that open(path, "w") would leave: an existing
+    target keeps its own, a new file gets 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".blockcoh-", suffix=".tmp")
+    tmp = os.path.join(directory, f".blockcoh-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
+            try:
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

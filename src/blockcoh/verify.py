@@ -193,7 +193,7 @@ def _appendix(kind: str, partition: BlockPartition, seed: int, trials: int) -> l
 
 
 def _measures(partition: BlockPartition, seed: int, trials: int) -> list[Check]:
-    # the axioms are checked on fixed partitions; --partition does not reach them
+    # the axioms are checked on fixed partitions (FIXED_PARTITION_SUITES)
     p = BlockPartition((2, 3))
     channel_seeds = range(seed, seed + max(1, trials // 10))
     return [
@@ -204,6 +204,9 @@ def _measures(partition: BlockPartition, seed: int, trials: int) -> list[Check]:
         convexity(p, trials, seed),
     ]
 
+
+# Suites whose checks run on fixed partitions; an explicit --partition is an error.
+FIXED_PARTITION_SUITES = ("lemmas", "naimark", "measures")
 
 # suite name -> (partition, seed, trials) -> its checks, in printing order
 SUITES = {

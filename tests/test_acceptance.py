@@ -16,6 +16,7 @@ from blockcoh.cli import main
 from blockcoh.counting import bio_bound, sbio_bound
 from blockcoh.naimark import Povm, dilate
 from blockcoh.sampling import random_cptp, random_povm
+from rank_one_rules import entrywise_column_rule, entrywise_row_and_column_rule
 
 P23 = BlockPartition((2, 3))
 
@@ -115,20 +116,6 @@ def test_criterion_7_measure_axioms():
 
 def test_criterion_8_rank_one_classifier_equivalence():
     ones = BlockPartition((1, 1, 1))
-
-    def entrywise_column_rule(ks, tol=1e-10):
-        for op in ks.operators:
-            nz = np.abs(op) > tol * (1.0 + np.abs(op).max())
-            if np.any(nz.sum(axis=0) > 1):
-                return False
-        return True
-
-    def entrywise_row_and_column_rule(ks, tol=1e-10):
-        for op in ks.operators:
-            nz = np.abs(op) > tol * (1.0 + np.abs(op).max())
-            if np.any(nz.sum(axis=0) > 1) or np.any(nz.sum(axis=1) > 1):
-                return False
-        return True
 
     kinds = ("bio", "sbio", "pbio", "dense")
     for t in range(1000):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from blockcoh.sampling import (
     random_cptp,
     random_density_matrix,
 )
+from rank_one_rules import entrywise_column_rule, entrywise_row_and_column_rule
 
 P23 = BlockPartition((2, 3))
 AGREEMENT_PARTITIONS = [(1, 1), (2, 1), (2, 2), (2, 3), (1, 2, 2)]
@@ -284,20 +286,6 @@ def test_commutation_deviation_detects_violations():
 def test_rank_one_classifiers_match_entrywise_rules():
     # with all-ones blocks the pattern rules reduce to per-entry statements
     ones = BlockPartition((1, 1, 1))
-
-    def entrywise_column_rule(ks, tol=1e-10):
-        for op in ks.operators:
-            nz = np.abs(op) > tol * (1.0 + np.abs(op).max())
-            if np.any(nz.sum(axis=0) > 1):
-                return False
-        return True
-
-    def entrywise_row_and_column_rule(ks, tol=1e-10):
-        for op in ks.operators:
-            nz = np.abs(op) > tol * (1.0 + np.abs(op).max())
-            if np.any(nz.sum(axis=0) > 1) or np.any(nz.sum(axis=1) > 1):
-                return False
-        return True
 
     rng = np.random.default_rng(5)
     for t in range(200):
@@ -592,6 +580,68 @@ def test_semantic_verdict_is_both_halves_of_one_pass():
                 verdicts.add(holds)
             assert semantic_verdict(ks) == (is_bio_semantic(ks), bio_semantic_deviation(ks))
     assert verdicts == {True, False}
+
+
+def reference_mbio_pairs(ks):
+    """The MBIO kernel before panels: one whole |Gram| (d, dc, d, dc) per column block."""
+    p, ops = ks.partition, ks.operators
+    off = ~block_mask(p)
+    for l in range(p.num_blocks):
+        cols = ops[:, :, p.block_slice(l)]
+        # gram[a, x, b, y] = sum_n K_n[a, x] conj(K_n[b, y])
+        gram = np.abs(np.tensordot(cols, cols.conj(), axes=(0, 0))).swapaxes(1, 2)
+        yield gram[off].max(axis=0, initial=0.0), gram.max(axis=(0, 1))
+
+
+PANEL_PARTITIONS = [(3, 5, 7), (8, 8, 8, 8), (16, 16, 16), (40, 3, 2), (1,) * 30]
+
+
+def panel_sets(dims):
+    """A member, a dense complete set and a member with a leak on ``dims``."""
+    p = BlockPartition(dims)
+    rng = np.random.default_rng(sum(dims))
+    member = gen_random("sbio", p, 1).operators
+    leaky = member.copy()
+    zero = leaky == 0
+    leaky[zero] = 10.0 ** rng.uniform(-12, -8) * ginibre(rng, int(zero.sum()), 1)[:, 0]
+    dense = random_cptp(p.total, 3, rng)
+    return [KrausSet(p, ops) for ops in (member, dense, leaky)]
+
+
+@pytest.mark.parametrize("budget", [1, 700, channels.MBIO_PANEL])
+def test_mbio_panels_match_whole_gram(monkeypatch, budget):
+    # budget 1 makes every row a panel of its own; 700 entries splits some
+    # column blocks of every partition below into panels of several rows
+    monkeypatch.setattr(channels, "MBIO_PANEL", budget)
+    verdicts = set()
+    for ks in [ks for dims in PANEL_PARTITIONS for ks in panel_sets(dims)] + [
+            ks for dims in ORACLE_PARTITIONS for ks in itertools.islice(oracle_sets(dims), 16)]:
+        want = list(reference_mbio_pairs(ks))
+        got = list(channels._mbio_pairs(ks))
+        assert len(got) == len(want)
+        for (dev, scale), (want_dev, want_scale) in zip(got, want):
+            assert dev.shape == want_dev.shape and scale.shape == want_scale.shape
+            assert np.max(np.abs(dev - want_dev), initial=0.0) <= 1e-15
+            assert np.max(np.abs(scale - want_scale)) <= 1e-15
+        holds = channels._holds(want, ZERO_TOL)
+        assert is_mbio(ks) == holds == classifier_report(ks)["mbio"]
+        assert abs(mbio_deviation(ks) - channels._verdict(want, ZERO_TOL)[1]) <= 1e-15
+        verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
+def test_mbio_panel_stays_within_its_budget():
+    # the whole |Gram| of one (16,16,16) column block is 9.4 MB as computed,
+    # and reference_mbio_pairs traces 18.9 MB here; a panel is at most 1.5 MB
+    ks = gen_random("sbio", BlockPartition((16, 16, 16)), 7)
+    tracemalloc.start()
+    try:
+        holds = is_mbio(ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds
+    assert peak <= 8e6, f"is_mbio traced a peak of {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 import importlib
+import io
 import json
+import os
+import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blockcoh import measures
+from blockcoh import cli, measures, serialize
 from blockcoh.blockcore import BlockPartition, block_dephase, block_projectors, is_block_incoherent
 from blockcoh.channels import KrausSet, classifier_report, gen_pattern_violating, gen_random
 from blockcoh.cli import main
@@ -103,14 +107,22 @@ def test_gen_classify_roundtrip(tmp_path, capsys):
         assert json.loads(out) == classifier_report(ks)
 
 
-def test_classify_reads_stdin(capsys, monkeypatch):
-    import io
-
+def test_classify_reads_stdin(tmp_path, capsys, monkeypatch):
     ks = gen_random("sbio", BlockPartition((2, 3)), 7)
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(kraus_to_json(ks))))
-    code, out, _ = run(capsys, "classify", "-")
-    assert code == 0
-    assert json.loads(out)["sbio_structural"] is True
+    obj = kraus_to_json(ks)
+    # json's default layout, gen's indent=2, compact, and tab-indented with CRLF
+    layouts = (json.dumps(obj), serialize.dumps(obj), json.dumps(obj, separators=(",", ":")),
+               json.dumps(obj, indent="\t").replace("\n", "\r\n"))
+    for n, text in enumerate(layouts):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "classify", "-")
+        assert code == 0
+        assert json.loads(out)["sbio_structural"] is True
+        # the same bytes as classifying the same text from a file
+        path = tmp_path / f"set-{n}.json"
+        path.write_bytes(text.encode())
+        assert run(capsys, "classify", str(path)) == (0, out, "")
+        assert out == serialize.dumps(classifier_report(ks))
 
 
 def test_bound_cli_frozen(capsys):
@@ -408,6 +420,60 @@ def test_partition_must_hold_json_integers(tmp_path, capsys):
     path.write_text(json.dumps(dict(kraus, partition=[1, 1])))
     code, out, _ = run(capsys, "classify", str(path))
     assert code == 0 and json.loads(out)["sbio_semantic"]
+
+
+def test_fixed_partition_suites_reject_an_explicit_partition(capsys):
+    for suite in ("lemmas", "naimark", "measures"):
+        for partition in ("7,7", "2,3"):
+            code, out, err = run(capsys, "verify", suite, "--partition", partition,
+                                 "--trials", "5")
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1
+            message = json.loads(err)
+            assert message["kind"] == "parse"
+            assert f"verify {suite} " in message["error"] and "--partition" in message["error"]
+    # the suites that read the partition still take it, 2,3 included
+    for suite in ("appendix-a", "appendix-b", "inclusion"):
+        code, out, _ = run(capsys, "verify", suite, "--partition", "2,3", "--trials", "5")
+        assert code == 0 and out.startswith("PASS")
+
+
+def test_output_files_get_the_mode_that_open_gives(tmp_path, capsys):
+    old = os.umask(0o022)
+    try:
+        for mask in (0o022, 0o027, 0o077):
+            os.umask(mask)
+            out = tmp_path / f"gen-{mask:o}.json"
+            assert main(["gen", "--class", "sbio", "--partition", "2,3", "-o", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~mask
+            # an existing target keeps its mode, and no temp file is left behind
+            out.chmod(0o640)
+            assert main(["gen", "--class", "bio", "--partition", "2,3", "-o", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gen-22.json", "gen-27.json",
+                                                          "gen-77.json"]
+
+
+def test_decoding_a_big_kraus_file_holds_one_operator_tree_at_a_time(monkeypatch):
+    # json.load builds the Python tree of all 50 operators at once, 16.5 MB
+    # on top of the 7.1 MB text (20.6 MB traced for json.loads alone); the
+    # reader holds the text, one operator's tree and the decoded arrays
+    text = serialize.dumps(kraus_to_json(gen_random("sbio", BlockPartition((16, 16, 16)), 7)))
+    # the command line reads the whole text first, so a copy of it is traced too
+    for read, bound in ((lambda: cli._read_json("-"), len(text) + 8e6),
+                        (lambda: serialize.load_json(text), 8e6)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        tracemalloc.start()
+        try:
+            ks = serialize.kraus_from_json(read())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ks.n_operators == 50
+        assert peak <= bound, f"decoding traced a peak of {peak / 1e6:.1f} MB"
 
 
 def test_appendix_suites_reject_single_block_partitions(capsys):

@@ -212,3 +212,93 @@ def test_flat_decode_equals_entry_loop(obj):
         assert same_bits(full, loop) and full.shape == loop.shape
         # the loop only runs on what the flat conversion cannot decode
         assert flat is not None or loop.shape[1] == 0
+
+
+# Documents for the streaming reader: a Kraus set or a POVM in one of the
+# layouts that json accepts, or broken in one of the ways that it rejects.
+HUGE_401 = "1" + "0" * 400
+
+
+@st.composite
+def square_matrices(draw, d):
+    pair = st.lists(st.one_of(st.floats(-1e100, 1e100),
+                              st.sampled_from([0.0, -0.0, 0, 1, -1])), min_size=2, max_size=2)
+    return draw(st.lists(st.lists(pair, min_size=d, max_size=d), min_size=d, max_size=d))
+
+
+@st.composite
+def json_documents(draw):
+    """(text, schema function): a document, its layout and at most one defect."""
+    d, seed = draw(st.integers(1, 3)), draw(SEEDS)
+    key = draw(st.sampled_from(serialize.MATRIX_ARRAYS))
+    if draw(st.booleans()):  # a valid set of the schema
+        if key == "kraus":
+            obj = serialize.kraus_to_json(gen_random("bio", BlockPartition((1,) * d), seed))
+        else:
+            obj = serialize.povm_to_json(Povm(random_povm(d, draw(st.integers(1, 3)), seed)))
+    else:
+        obj = {"dim": d, key: draw(st.lists(st.one_of(square_matrices(d), json_matrices()),
+                                            max_size=3))}
+        if key == "kraus":
+            obj["partition"] = draw(st.sampled_from([[d], [1] * d]))
+    defect = draw(st.sampled_from([
+        "none", "none", "none", "string", "boolean", "nan", "huge", "ragged",
+        "truncated", "trailing", "comma", "bom", "not-object",
+    ]))
+    matrices = obj[key]
+    if defect in ("string", "boolean", "nan", "huge", "ragged") and matrices:
+        mat = matrices[draw(st.integers(0, len(matrices) - 1))]
+        if isinstance(mat, list) and mat and all(isinstance(r, list) and r for r in mat):
+            r = draw(st.integers(0, len(mat) - 1))
+            if defect == "ragged":
+                mat[r] = mat[r] + mat[r][:1]
+            elif isinstance(mat[r][0], list) and mat[r][0]:
+                mat[r][0][0] = {"string": "1.0", "boolean": True, "nan": float("nan"),
+                                "huge": "HUGE"}[defect]
+    if draw(st.booleans()):  # extra keys, one of them a matrix array the schema ignores
+        obj["note"] = "extra"
+        obj[next(k for k in serialize.MATRIX_ARRAYS if k != key)] = [[[[1, 0]]], "x"]
+    if draw(st.booleans()):
+        obj = dict(reversed(list(obj.items())))
+    layout = draw(st.sampled_from(["compact", "gen", "crlf-tabs"]))
+    if layout == "compact":
+        text = json.dumps(obj, separators=(",", ":"))
+    elif layout == "gen":
+        text = serialize.dumps(obj)
+    else:
+        text = json.dumps(obj, indent="\t").replace("\n", "\r\n")
+    text = text.replace('"HUGE"', HUGE_401)
+    if draw(st.booleans()):  # a repeated key: its first place, its last value
+        first = draw(st.sampled_from([f'"{key}": [[[[2, 0]]]]', f'"{key}": 7', '"dim": 9']))
+        text = text.replace("{", "{" + first + ", ", 1)
+    if defect == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif defect == "trailing":
+        text += draw(st.sampled_from([" x", "{}", "]", " 0", "\n,"]))
+    elif defect == "comma" and "," in text:
+        commas = [i for i, c in enumerate(text) if c == ","]
+        i = commas[draw(st.integers(0, len(commas) - 1))]
+        text = text[:i] + text[i + 1:]
+    elif defect == "bom":
+        text = "\ufeff" + text
+    elif defect == "not-object":
+        text = draw(st.sampled_from([json.dumps(matrices), "42", '"kraus"', "null", "[]"]))
+    schema = serialize.kraus_from_json if key == "kraus" else serialize.povm_from_json
+    return text, schema
+
+
+def read_outcome(load, schema, text):
+    """What the command line makes of ``text``: the decoded bits, or the error."""
+    try:
+        value = schema(load(text))
+    except Exception as exc:  # the type and message are what the error line prints
+        return type(exc), str(exc)
+    ops = value.operators if isinstance(value, KrausSet) else value.effects
+    return value.__class__, ops.shape, ops.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=json_documents())
+def test_streaming_reader_equals_json_loads(doc):
+    text, schema = doc
+    assert read_outcome(serialize.load_json, schema, text) == read_outcome(json.loads, schema, text)
