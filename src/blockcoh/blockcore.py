@@ -70,17 +70,6 @@ class BlockPartition:
         return "(" + ",".join(str(x) for x in self.dims) + ")"
 
 
-def block_of_index(partition: BlockPartition, basis_index: int) -> int:
-    """Block number containing a computational-basis index."""
-    i = int(basis_index)
-    if not 0 <= i < partition.total:
-        raise IndexError(
-            f"basis index {i} out of range for dimension {partition.total}"
-        )
-    # offsets are sorted, so the block is the rightmost offset not above i
-    return int(np.searchsorted(partition.offsets, i, side="right")) - 1
-
-
 def block_labels(partition: BlockPartition) -> np.ndarray:
     """Integer array of length d mapping each basis index to its block."""
     return np.repeat(np.arange(partition.num_blocks), partition.dims)
@@ -140,39 +129,6 @@ def is_block_incoherent(partition: BlockPartition, rho, tol: float = ZERO_TOL):
     offblock = rho[..., ~block_mask(partition)].max(axis=-1, initial=0.0)
     verdict = offblock <= zero_threshold(rho.max(axis=(-2, -1)), tol)
     return bool(verdict) if verdict.ndim == 0 else verdict
-
-
-def diagonal_block_basis(partition: BlockPartition) -> list[np.ndarray]:
-    """Elementary matrices |x><y| with x, y in the same block.
-
-    There are sum_i d_i**2 of them and they span the space of all possible
-    diagonal-block contents, so a linear condition that holds on this basis
-    holds for the diagonal blocks of every state.
-    """
-    d = partition.total
-    out = []
-    for l in range(partition.num_blocks):
-        sl = partition.block_slice(l)
-        for x in range(sl.start, sl.stop):
-            for y in range(sl.start, sl.stop):
-                e = np.zeros((d, d), dtype=complex)
-                e[x, y] = 1.0
-                out.append(e)
-    return out
-
-
-def offdiagonal_block_basis(partition: BlockPartition) -> list[np.ndarray]:
-    """Elementary matrices |x><y| with x and y in different blocks."""
-    d = partition.total
-    labels = block_labels(partition)
-    out = []
-    for x in range(d):
-        for y in range(d):
-            if labels[x] != labels[y]:
-                e = np.zeros((d, d), dtype=complex)
-                e[x, y] = 1.0
-                out.append(e)
-    return out
 
 
 def validate_density_matrix(rho, tol: float = STATE_TOL) -> np.ndarray:

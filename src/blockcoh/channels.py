@@ -47,8 +47,6 @@ from .sampling import as_rng, ginibre, haar_unitary
 
 # Completeness tolerance for sum K^dag K = I.
 CPTP_TOL = 1e-9
-# Selective branches below this probability are dropped.
-PROB_TOL = 1e-12
 # Entries of one Gram panel of the MBIO check (16 bytes each as computed).
 MBIO_PANEL = 1 << 16
 
@@ -90,12 +88,6 @@ class KrausSet:
     def n_operators(self) -> int:
         return self.operators.shape[0]
 
-    def __iter__(self):
-        return iter(self.operators)
-
-    def __len__(self):
-        return self.n_operators
-
 
 def cptp_deviation(ks: KrausSet) -> float:
     """Largest entry deviation of sum K^dag K from the identity."""
@@ -130,16 +122,6 @@ def apply_channel(ks: KrausSet, rho) -> np.ndarray:
     checked here.
     """
     return branch_outputs(ks, rho).sum(axis=-3)
-
-
-def apply_selective(ks: KrausSet, rho, prob_tol: float = PROB_TOL):
-    """Measurement branches [(q_n, K_n rho K_n^dag / q_n)] with q_n > prob_tol."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ks.dim, ks.dim):
-        raise ValueError(f"state has shape {rho.shape}, expected ({ks.dim}, {ks.dim})")
-    outs = branch_outputs(ks, rho)
-    probs = np.trace(outs, axis1=-2, axis2=-1).real.tolist()
-    return [(q, out / q) for q, out in zip(probs, outs) if q > prob_tol]
 
 
 def _row_block_maxima(ops: np.ndarray, partition: BlockPartition) -> np.ndarray:
@@ -258,17 +240,12 @@ def semantic_verdict(ks: KrausSet, strict: bool = False,
     """(verdict, worst deviation) of the BIO or, if ``strict``, SBIO semantic check.
 
     Both come from one pass over the block-maxima reductions; the is_*_semantic
-    predicates and the *_semantic_deviation values are its two halves.
+    predicates return the verdict.
     """
     pairs = _bio_pairs(ks)
     if strict:
         pairs = itertools.chain(pairs, _cross_pairs(ks))
     return _verdict(pairs, tol)
-
-
-def bio_semantic_deviation(ks: KrausSet) -> float:
-    """Worst cross-block magnitude of K B K^dag over the diagonal-block basis."""
-    return semantic_verdict(ks)[1]
 
 
 def is_bio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
@@ -281,11 +258,6 @@ def is_bio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     return semantic_verdict(ks, tol=tol)[0]
 
 
-def sbio_semantic_deviation(ks: KrausSet) -> float:
-    """Worst residual over both branch-level conditions of the strict class."""
-    return semantic_verdict(ks, strict=True)[1]
-
-
 def is_sbio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     """BIO condition plus: branches annihilate every cross-block basis element.
 
@@ -294,11 +266,6 @@ def is_sbio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     as each branch commuting with the block-dephasing map.
     """
     return semantic_verdict(ks, strict=True, tol=tol)[0]
-
-
-def mbio_deviation(ks: KrausSet) -> float:
-    """Worst cross-block magnitude of the full channel output over the free basis."""
-    return _verdict(_mbio_pairs(ks), ZERO_TOL)[1]
 
 
 def is_mbio(ks: KrausSet, tol: float = ZERO_TOL) -> bool:

@@ -147,7 +147,7 @@ def cmd_verify(args) -> tuple[int, str]:
         if check.counterexample is not None:
             # keep the offending state around so the violation can be replayed
             artifact = f"blockcoh-counterexample-{check.name}.json"
-            serialize.write_json_atomic(artifact, check.counterexample)
+            serialize.write_text_atomic(artifact, serialize.dumps(check.counterexample))
             detail += f" counterexample={artifact}"
         lines.append(f"{'PASS' if check.passed else 'FAIL'} {check.name} {detail}\n")
     return (0 if all(check.passed for check in checks) else 1), "".join(lines)

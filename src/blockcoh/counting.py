@@ -97,9 +97,13 @@ def rank_one_sbio_total(d: int) -> int:
 
 
 def rank_one_reduction_check(d: int) -> bool:
-    """True when both bounds on the all-ones partition match their closed forms."""
-    if not 2 <= d <= 8:
-        raise ValueError(f"supported dimensions are 2..8, got {d}")
+    """True when both bounds on the all-ones partition match their closed forms.
+
+    The BIO closed form divides by d - 1, so d starts at 2; above
+    ``MAX_SBIO_BLOCKS`` sbio_bound raises ValueError.
+    """
+    if d < 2:
+        raise ValueError(f"the rank-one closed forms need d >= 2, got {d}")
     ones = BlockPartition([1] * d)
     return (
         bio_bound(ones).total == rank_one_bio_total(d)

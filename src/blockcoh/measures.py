@@ -14,11 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from .blockcore import BlockPartition, _as_stack, block_dephase, block_mask
-from .channels import PROB_TOL, KrausSet, apply_channel, branch_outputs, is_bio_semantic
+from .channels import KrausSet, apply_channel, branch_outputs, is_bio_semantic
 from .sampling import random_density_matrices
 
 # Negative eigenvalues beyond this window are treated as invalid input.
 EIG_TOL = 1e-9
+# Selective branches below this probability are dropped.
+PROB_TOL = 1e-12
 # Trials a probe evaluates per stacked measure call; bounds the probe's memory.
 PROBE_CHUNK = 32
 

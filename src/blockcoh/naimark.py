@@ -110,8 +110,8 @@ class NaimarkExtension:
     def pvm(self) -> np.ndarray:
         """Rank-d projectors P_i = V^dag (I (x) |i><i|) V, shape (n, d*n, d*n).
 
-        Built from V on first access and kept; nothing in the dilation or its
-        verification reads them.
+        Built from V on first access and kept; ``dilate`` and ``verify_dilation``
+        do not read them, ``blockcoh.verify.dilation`` checks their algebra.
         """
         v, n = self.global_unitary, self.outcomes
         big = v.shape[0]

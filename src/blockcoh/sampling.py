@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockcore import BlockPartition, block_dephase
-
 
 def as_rng(seed) -> np.random.Generator:
     """Pass through a Generator, otherwise seed a fresh one."""
@@ -43,11 +41,6 @@ def random_density_matrices(dim: int, seeds, count: int | None = None) -> np.nda
 def random_density_matrix(dim: int, seed=None) -> np.ndarray:
     """Hilbert-Schmidt random state: G G^dag normalized, G square Ginibre."""
     return random_density_matrices(dim, [seed])[0]
-
-
-def random_block_incoherent_state(partition: BlockPartition, seed=None) -> np.ndarray:
-    """Random free state: a Hilbert-Schmidt state with cross blocks erased."""
-    return block_dephase(partition, random_density_matrix(partition.total, seed))
 
 
 def haar_unitary(dim: int, seed=None) -> np.ndarray:

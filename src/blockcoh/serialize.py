@@ -297,11 +297,6 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
-def write_json_atomic(path: str, obj):
-    """Serialize to a sibling temp file, then rename over the target."""
-    write_text_atomic(path, dumps(obj))
-
-
 def write_text_atomic(path: str, text: str):
     """Write text to a sibling temp file, then rename over the target.
 

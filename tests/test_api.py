@@ -1,0 +1,25 @@
+"""The package's public surface: ``blockcoh.__all__`` against its own imports."""
+
+import ast
+import inspect
+
+import blockcoh
+
+
+def package_imports():
+    # the names bound by the "from .module import ..." lines of blockcoh/__init__.py
+    tree = ast.parse(inspect.getsource(blockcoh))
+    return [alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from blockcoh import *", namespace)
+    assert [name for name in blockcoh.__all__ if name not in namespace] == []
+
+
+def test_all_lists_exactly_the_package_imports():
+    assert len(set(blockcoh.__all__)) == len(blockcoh.__all__)
+    assert sorted(blockcoh.__all__) == sorted(package_imports())

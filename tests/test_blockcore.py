@@ -4,12 +4,8 @@ import pytest
 from blockcoh.blockcore import (
     BlockPartition,
     block_dephase,
-    block_mask,
-    block_of_index,
     block_projectors,
-    diagonal_block_basis,
     is_block_incoherent,
-    offdiagonal_block_basis,
     validate_density_matrix,
 )
 from blockcoh.sampling import ginibre, random_density_matrix
@@ -38,25 +34,6 @@ def test_partition_validation():
         BlockPartition((2, 0))
     with pytest.raises(ValueError):
         BlockPartition((-1, 3))
-
-
-def test_block_of_index_examples():
-    assert block_of_index(BlockPartition((2, 3)), 0) == 0
-    assert block_of_index(BlockPartition((2, 3)), 2) == 1
-    assert block_of_index(BlockPartition((1, 1, 1)), 2) == 2
-
-
-def test_block_of_index_full_sweep():
-    p = BlockPartition((3, 1, 2))
-    assert [block_of_index(p, i) for i in range(6)] == [0, 0, 0, 1, 2, 2]
-
-
-def test_block_of_index_out_of_range():
-    p = BlockPartition((2, 3))
-    with pytest.raises(IndexError):
-        block_of_index(p, 5)
-    with pytest.raises(IndexError):
-        block_of_index(p, -1)
 
 
 def test_block_dephase_examples():
@@ -128,40 +105,6 @@ def test_block_projectors():
         for j, pj in enumerate(projs):
             if i != j:
                 assert np.allclose(pi @ pj, 0)
-
-
-def test_basis_counts():
-    assert len(diagonal_block_basis(BlockPartition((2, 3)))) == 13
-    assert len(diagonal_block_basis(BlockPartition((1, 1)))) == 2
-    assert len(diagonal_block_basis(BlockPartition((5,)))) == 25
-    assert len(offdiagonal_block_basis(BlockPartition((2, 3)))) == 12
-    assert len(offdiagonal_block_basis(BlockPartition((5,)))) == 0
-    assert len(offdiagonal_block_basis(BlockPartition((1, 1)))) == 2
-
-
-def test_bases_split_the_matrix_units():
-    for dims in [(1, 1), (2, 3), (1, 2, 2)]:
-        p = BlockPartition(dims)
-        diag = diagonal_block_basis(p)
-        off = offdiagonal_block_basis(p)
-        assert len(diag) + len(off) == p.total**2
-        seen = set()
-        mask = block_mask(p)
-        for e in diag:
-            x, y = map(int, np.argwhere(e)[0])
-            assert mask[x, y]
-            seen.add((x, y))
-        for e in off:
-            x, y = map(int, np.argwhere(e)[0])
-            assert not mask[x, y]
-            seen.add((x, y))
-        assert len(seen) == p.total**2
-
-
-def test_offdiagonal_basis_rank_one_pair():
-    units = offdiagonal_block_basis(BlockPartition((1, 1)))
-    positions = sorted(tuple(map(int, np.argwhere(e)[0])) for e in units)
-    assert positions == [(0, 1), (1, 0)]
 
 
 def test_validate_density_matrix():

@@ -22,8 +22,7 @@ from blockcoh.channels import (
     PbioSpec,
     CPTP_TOL,
     apply_channel,
-    apply_selective,
-    bio_semantic_deviation,
+    branch_outputs,
     block_pattern,
     build_pbio,
     classifier_report,
@@ -36,23 +35,20 @@ from blockcoh.channels import (
     is_mbio,
     is_sbio_semantic,
     is_sbio_structural,
-    mbio_deviation,
     sbio_commutation_deviation,
-    sbio_semantic_deviation,
     semantic_verdict,
     verify_cptp,
 )
 from blockcoh.sampling import (
     ginibre,
     haar_unitary,
-    random_block_incoherent_state,
     random_cptp,
     random_density_matrix,
 )
 from rank_one_rules import entrywise_column_rule, entrywise_row_and_column_rule
 
 P23 = BlockPartition((2, 3))
-AGREEMENT_PARTITIONS = [(1, 1), (2, 1), (2, 2), (2, 3), (1, 2, 2)]
+AGREEMENT_PARTITIONS = [(1, 1), (2, 1), (2, 2), (1, 2, 2)]
 
 
 def projector_set(partition):
@@ -70,7 +66,7 @@ def test_kraus_set_validation():
         with pytest.raises(ValueError, match="finite"):
             KrausSet(P23, ops)
     ks = KrausSet(P23, np.eye(5))  # single operator is promoted to a set
-    assert ks.n_operators == 1 and len(ks) == 1 and ks.dim == 5
+    assert ks.n_operators == 1 and ks.dim == 5
 
 
 def test_verify_cptp_examples():
@@ -119,35 +115,11 @@ def test_cptp_deviation_matches_einsum():
         assert verify_cptp(ks) == (ref <= CPTP_TOL)
 
 
-def test_apply_selective_frozen():
-    branches = apply_selective(projector_set(P23), np.eye(5) / 5)
-    assert len(branches) == 2
-    q0, s0 = branches[0]
-    q1, s1 = branches[1]
-    assert abs(q0 - 0.4) < 1e-14 and abs(q1 - 0.6) < 1e-14
-    assert np.allclose(s0, np.diag([0.5, 0.5, 0, 0, 0]))
-    assert np.allclose(s1, np.diag([0, 0, 1 / 3, 1 / 3, 1 / 3]))
-
-    identity = KrausSet(P23, np.eye(5))
-    rho = random_density_matrix(5, 1)
-    (q, out), = apply_selective(identity, rho)
-    assert abs(q - 1.0) < 1e-12 and np.allclose(out, rho)
-
-
-def test_apply_selective_drops_dead_branches():
-    # a state supported inside block 0 never triggers the block-1 projector
-    rho = np.zeros((5, 5), dtype=complex)
-    rho[0, 0] = 1.0
-    branches = apply_selective(projector_set(P23), rho)
-    assert len(branches) == 1
-    assert abs(branches[0][0] - 1.0) < 1e-12
-
-
 def test_selective_probabilities_sum_to_one():
     for seed in range(10):
         ks = gen_random("bio", P23, seed)
         rho = random_density_matrix(5, 100 + seed)
-        total = sum(q for q, _ in apply_selective(ks, rho))
+        total = np.trace(branch_outputs(ks, rho), axis1=-2, axis2=-1).real.sum()
         assert abs(total - 1.0) <= 1e-9
 
 
@@ -211,11 +183,6 @@ def test_bio_but_not_sbio_example():
     assert not is_sbio_structural(ks) and not is_sbio_semantic(ks)
 
 
-def test_violating_sets_fail_semantically():
-    for kind in ("bio", "sbio"):
-        assert verify.pattern_violations_rejected(kind, P23, range(50)).passed
-
-
 @pytest.mark.parametrize("dims", [
     (2, 3), (1, 1), (2, 1), (1, 1, 1), (3, 5, 7), (4, 4, 4), (1, 15), (1,) * 8,
     (8, 8, 8, 8), (16, 16, 16),
@@ -233,11 +200,6 @@ def test_sbio_violators_on_every_partition(dims):
 def test_violating_generator_rejects_single_block():
     with pytest.raises(ValueError):
         gen_pattern_violating("bio", BlockPartition((5,)), 0)
-
-
-def test_inclusion_chain_on_generated_sets():
-    for inner in ("pbio", "sbio", "bio"):
-        assert verify.inclusion(inner, P23, range(50)).passed
 
 
 def test_converse_probe_random_search(tmp_path):
@@ -263,18 +225,12 @@ def test_free_state_preservation():
     for seed in range(20):
         ks = gen_random("bio", P23, seed)
         for t in range(100):
-            rho = random_block_incoherent_state(P23, 1000 * seed + t)
+            rho = block_dephase(P23, random_density_matrix(5, 1000 * seed + t))
             assert is_block_incoherent(P23, apply_channel(ks, rho), 1e-9)
-        rho = random_block_incoherent_state(P23, seed)
-        for q, sigma in apply_selective(ks, rho):
+        outs = branch_outputs(ks, block_dephase(P23, random_density_matrix(5, seed)))
+        for q, out in zip(np.trace(outs, axis1=-2, axis2=-1).real, outs):
             if q > 1e-6:
-                assert is_block_incoherent(P23, sigma, 1e-9)
-
-
-def test_sbio_commutation_invariant():
-    # 10 states per set, from seeds 10 * seed + r
-    sets = [gen_random("sbio", P23, seed) for seed in range(50)]
-    assert verify.commutes_with_dephasing(sets, 0, 10).passed
+                assert is_block_incoherent(P23, out / q, 1e-9)
 
 
 def test_commutation_deviation_detects_violations():
@@ -464,8 +420,8 @@ def test_classifier_report_shape():
 
 def test_deviation_helpers_are_zero_on_clean_members():
     for seed in range(20):
-        assert bio_semantic_deviation(gen_random("bio", P23, seed)) <= 1e-12
-        assert sbio_semantic_deviation(gen_random("sbio", P23, seed)) <= 1e-12
+        assert semantic_verdict(gen_random("bio", P23, seed))[1] <= 1e-12
+        assert semantic_verdict(gen_random("sbio", P23, seed), strict=True)[1] <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +500,11 @@ def oracle_sets(dims):
 
 
 def test_block_maxima_classifiers_match_basis_loops():
+    # each class: its predicate, and its (verdict, worst deviation) from one pass
     classes = {
-        "bio_semantic": (is_bio_semantic, bio_semantic_deviation),
-        "sbio_semantic": (is_sbio_semantic, sbio_semantic_deviation),
-        "mbio": (is_mbio, mbio_deviation),
+        "bio_semantic": (is_bio_semantic, semantic_verdict),
+        "sbio_semantic": (is_sbio_semantic, lambda ks: semantic_verdict(ks, True)),
+        "mbio": (is_mbio, lambda ks: channels._verdict(channels._mbio_pairs(ks), ZERO_TOL)),
     }
     count = 0
     verdicts = {name: set() for name in classes}
@@ -556,9 +513,10 @@ def test_block_maxima_classifiers_match_basis_loops():
             count += 1
             want = reference_semantic(ks)
             report = classifier_report(ks)
-            for name, (holds, deviation) in classes.items():
-                assert holds(ks) == report[name] == want[name][0], (dims, name)
-                assert abs(deviation(ks) - want[name][1]) <= 1e-15, (dims, name)
+            for name, (holds, verdict) in classes.items():
+                got, worst = verdict(ks)
+                assert holds(ks) == report[name] == got == want[name][0], (dims, name)
+                assert abs(worst - want[name][1]) <= 1e-15, (dims, name)
                 verdicts[name].add(want[name][0])
             for op in ks.operators:
                 assert np.array_equal(block_pattern(op, ks.partition),
@@ -566,20 +524,6 @@ def test_block_maxima_classifiers_match_basis_loops():
     assert count >= 3000
     # the sample holds sets on both sides of every verdict
     assert all(v == {True, False} for v in verdicts.values())
-
-
-def test_semantic_verdict_is_both_halves_of_one_pass():
-    verdicts = set()
-    for dims in ORACLE_PARTITIONS:
-        for ks in itertools.islice(oracle_sets(dims), 40):
-            want = reference_semantic(ks)
-            for strict, name in ((False, "bio_semantic"), (True, "sbio_semantic")):
-                holds, worst = semantic_verdict(ks, strict)
-                assert holds == want[name][0]
-                assert abs(worst - want[name][1]) <= 1e-15
-                verdicts.add(holds)
-            assert semantic_verdict(ks) == (is_bio_semantic(ks), bio_semantic_deviation(ks))
-    assert verdicts == {True, False}
 
 
 def reference_mbio_pairs(ks):
@@ -625,7 +569,8 @@ def test_mbio_panels_match_whole_gram(monkeypatch, budget):
             assert np.max(np.abs(scale - want_scale)) <= 1e-15
         holds = channels._holds(want, ZERO_TOL)
         assert is_mbio(ks) == holds == classifier_report(ks)["mbio"]
-        assert abs(mbio_deviation(ks) - channels._verdict(want, ZERO_TOL)[1]) <= 1e-15
+        worst = channels._verdict(got, ZERO_TOL)[1]
+        assert abs(worst - channels._verdict(want, ZERO_TOL)[1]) <= 1e-15
         verdicts.add(holds)
     assert verdicts == {True, False}
 

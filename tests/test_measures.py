@@ -3,9 +3,10 @@ import pytest
 
 from blockcoh import measures, verify
 from blockcoh.blockcore import BlockPartition, block_dephase, block_projectors
-from blockcoh.channels import PROB_TOL, KrausSet, gen_random
+from blockcoh.channels import KrausSet, gen_random
 from blockcoh.measures import (
     PROBE_CHUNK,
+    PROB_TOL,
     convexity_probe,
     l1_block_coherence,
     monotonicity_probe,
@@ -14,11 +15,7 @@ from blockcoh.measures import (
     strong_monotonicity_probe,
     von_neumann_entropy,
 )
-from blockcoh.sampling import (
-    haar_unitary,
-    random_block_incoherent_state,
-    random_density_matrix,
-)
+from blockcoh.sampling import haar_unitary, random_density_matrix
 
 P23 = BlockPartition((2, 3))
 
@@ -63,7 +60,7 @@ def test_rel_entropy_examples():
 def test_l1_examples():
     plus = cross_state(2, 0, 1)
     assert abs(l1_block_coherence(BlockPartition((1, 1)), plus) - 1.0) <= 1e-12
-    free = random_block_incoherent_state(P23, 0)
+    free = block_dephase(P23, random_density_matrix(5, 0))
     assert l1_block_coherence(P23, free) == 0.0
     across = cross_state(5, 0, 2)
     assert abs(l1_block_coherence(P23, across) - 1.0) <= 1e-12
@@ -140,7 +137,7 @@ def test_strong_monotonicity_single_branch_matches_plain_probe():
 
 def test_strong_monotonicity_dephasing_on_free_input():
     dephasing = KrausSet(P23, np.array(block_projectors(P23)))
-    free = random_block_incoherent_state(P23, 3)
+    free = block_dephase(P23, random_density_matrix(5, 3))
     total = sum(
         q * rel_entropy_block_coherence(P23, sigma)
         for q, sigma in [(float(np.trace(pk @ free @ pk).real),
@@ -188,8 +185,8 @@ def test_convexity_probe():
     for measure in (rel_entropy_block_coherence, l1_block_coherence):
         assert convexity_probe(measure, P23, trials=50, seed=0) <= 1e-8
     # a mixture of free states stays free, so both sides vanish
-    a = random_block_incoherent_state(P23, 1)
-    b = random_block_incoherent_state(P23, 2)
+    a = block_dephase(P23, random_density_matrix(5, 1))
+    b = block_dephase(P23, random_density_matrix(5, 2))
     mix = 0.25 * a + 0.75 * b
     assert l1_block_coherence(P23, mix) == 0.0
     assert rel_entropy_block_coherence(P23, mix) <= 1e-12

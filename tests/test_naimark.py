@@ -253,26 +253,6 @@ def test_trine_probabilities_frozen():
         assert abs(via_effect - expected[i]) <= 1e-12
 
 
-def test_random_povm_dilations():
-    rng = np.random.default_rng(0)
-    for _ in range(40):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 5))
-        povm = Povm(random_povm(d, n, rng))
-        ext = dilate(povm)
-        big = d * n
-        v = ext.global_unitary
-        assert np.max(np.abs(v.conj().T @ v - np.eye(big))) <= 1e-9
-        assert np.max(np.abs(v @ v.conj().T - np.eye(big))) <= 1e-9
-        for i in range(n):
-            assert int(round(np.trace(ext.pvm[i]).real)) == d
-            for j in range(n):
-                want = ext.pvm[i] if i == j else 0.0
-                assert np.max(np.abs(ext.pvm[i] @ ext.pvm[j] - want)) <= 1e-9
-        assert np.max(np.abs(ext.pvm.sum(axis=0) - np.eye(big))) <= 1e-9
-        assert verify_dilation(povm, ext, trials=25, seed=3) <= 1e-10
-
-
 def test_dilation_is_deterministic():
     povm = Povm(random_povm(3, 3, 5))
     a = dilate(povm)
