@@ -526,6 +526,23 @@ def test_block_maxima_classifiers_match_basis_loops():
     assert all(v == {True, False} for v in verdicts.values())
 
 
+def test_semantic_verdict_is_both_halves_of_one_pass():
+    verdicts = set()
+    for dims in ORACLE_PARTITIONS:
+        for ks in itertools.islice(oracle_sets(dims), 40):
+            want = reference_semantic(ks)
+            for strict, name in ((False, "bio_semantic"), (True, "sbio_semantic")):
+                holds, worst = semantic_verdict(ks, strict)
+                assert holds == want[name][0]
+                assert abs(worst - want[name][1]) <= 1e-15
+                verdicts.add(holds)
+            # the default is the BIO check, and the predicates return its verdict
+            assert semantic_verdict(ks) == semantic_verdict(ks, False)
+            assert semantic_verdict(ks)[0] == is_bio_semantic(ks)
+            assert semantic_verdict(ks, True)[0] == is_sbio_semantic(ks)
+    assert verdicts == {True, False}
+
+
 def reference_mbio_pairs(ks):
     """The MBIO kernel before panels: one whole |Gram| (d, dc, d, dc) per column block."""
     p, ops = ks.partition, ks.operators
