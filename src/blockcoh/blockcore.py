@@ -131,11 +131,11 @@ def is_block_incoherent(partition: BlockPartition, rho, tol: float = ZERO_TOL):
     return bool(verdict) if verdict.ndim == 0 else verdict
 
 
-def validate_density_matrix(rho, tol: float = STATE_TOL) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check hermiticity, positivity and unit trace; return the array.
 
     Raises ValueError naming the failed property.  Eigenvalues are allowed to
-    dip to -tol to absorb double-precision construction noise.  NaN and
+    dip to -STATE_TOL to absorb double-precision construction noise.  NaN and
     infinite entries are rejected first: every comparison with NaN is false,
     so the checks below would let them through.
     """
@@ -145,12 +145,12 @@ def validate_density_matrix(rho, tol: float = STATE_TOL) -> np.ndarray:
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
     herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > tol:
+    if herm_dev > STATE_TOL:
         raise ValueError(f"matrix is not hermitian (deviation {herm_dev:.3e})")
     tr_dev = abs(complex(np.trace(rho)) - 1.0)
-    if tr_dev > tol:
+    if tr_dev > STATE_TOL:
         raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
     lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
-    if lo < -tol:
+    if lo < -STATE_TOL:
         raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})")
     return rho

@@ -97,9 +97,9 @@ def cptp_deviation(ks: KrausSet) -> float:
     return float(np.max(np.abs(total - np.eye(ks.dim))))
 
 
-def verify_cptp(ks: KrausSet, tol: float = CPTP_TOL) -> bool:
-    """True when the Kraus set satisfies completeness within tol."""
-    return cptp_deviation(ks) <= tol
+def verify_cptp(ks: KrausSet) -> bool:
+    """True when the Kraus set satisfies completeness within CPTP_TOL."""
+    return cptp_deviation(ks) <= CPTP_TOL
 
 
 def branch_outputs(ks: KrausSet, rho) -> np.ndarray:
@@ -140,7 +140,7 @@ def _single_block(grid: np.ndarray, axis: int) -> bool:
     return bool(np.all(grid.sum(axis=axis) <= 1))
 
 
-def block_pattern(op, partition: BlockPartition, tol: float = ZERO_TOL) -> np.ndarray:
+def block_pattern(op, partition: BlockPartition) -> np.ndarray:
     """Boolean (k, k) grid: True where the (row, col) block holds a nonzero entry.
 
     An entry is nonzero when it exceeds the scale-relative threshold of the
@@ -150,17 +150,17 @@ def block_pattern(op, partition: BlockPartition, tol: float = ZERO_TOL) -> np.nd
     d = partition.total
     if op.shape != (d, d):
         raise ValueError(f"operator has shape {op.shape}, expected ({d}, {d})")
-    return _nonzero_blocks(op[None], partition, tol)[0]
+    return _nonzero_blocks(op[None], partition, ZERO_TOL)[0]
 
 
-def is_bio_structural(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
+def is_bio_structural(ks: KrausSet) -> bool:
     """Every operator has at most one nonzero block in each column partition."""
-    return _single_block(_nonzero_blocks(ks.operators, ks.partition, tol), axis=1)
+    return _single_block(_nonzero_blocks(ks.operators, ks.partition, ZERO_TOL), axis=1)
 
 
-def is_sbio_structural(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
+def is_sbio_structural(ks: KrausSet) -> bool:
     """At most one nonzero block per column partition and per row partition."""
-    grid = _nonzero_blocks(ks.operators, ks.partition, tol)
+    grid = _nonzero_blocks(ks.operators, ks.partition, ZERO_TOL)
     return _single_block(grid, axis=1) and _single_block(grid, axis=2)
 
 
@@ -235,42 +235,42 @@ def _verdict(pairs, tol: float) -> tuple[bool, float]:
     return holds, worst
 
 
-def semantic_verdict(ks: KrausSet, strict: bool = False,
-                     tol: float = ZERO_TOL) -> tuple[bool, float]:
+def semantic_verdict(ks: KrausSet, strict: bool = False) -> tuple[bool, float]:
     """(verdict, worst deviation) of the BIO or, if ``strict``, SBIO semantic check.
 
-    Both come from one pass over the block-maxima reductions; the is_*_semantic
-    predicates return the verdict.
+    Both come from one full pass over the block-maxima reductions.  The
+    is_*_semantic predicates reach the same verdict but stop at the first
+    failing column block, so they give no deviation.
     """
     pairs = _bio_pairs(ks)
     if strict:
         pairs = itertools.chain(pairs, _cross_pairs(ks))
-    return _verdict(pairs, tol)
+    return _verdict(pairs, ZERO_TOL)
 
 
-def is_bio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
+def is_bio_semantic(ks: KrausSet) -> bool:
     """Each branch leaves every diagonal-block basis element block-diagonal.
 
     Checks dephase(K B K^dag) == K B K^dag for every operator K and every
     elementary B = |x><y| with x, y in the same block.  By linearity this is
     equivalent to the same condition for the diagonal blocks of all states.
     """
-    return semantic_verdict(ks, tol=tol)[0]
+    return _holds(_bio_pairs(ks), ZERO_TOL)
 
 
-def is_sbio_semantic(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
+def is_sbio_semantic(ks: KrausSet) -> bool:
     """BIO condition plus: branches annihilate every cross-block basis element.
 
     The extra requirement is dephase(K B' K^dag) == 0 for every elementary
     B' = |x><y| with x, y in different blocks, which by linearity is the same
     as each branch commuting with the block-dephasing map.
     """
-    return semantic_verdict(ks, strict=True, tol=tol)[0]
+    return _holds(itertools.chain(_bio_pairs(ks), _cross_pairs(ks)), ZERO_TOL)
 
 
-def is_mbio(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
+def is_mbio(ks: KrausSet) -> bool:
     """The summed channel maps every free-space basis element to a free operator."""
-    return _holds(_mbio_pairs(ks), tol)
+    return _holds(_mbio_pairs(ks), ZERO_TOL)
 
 
 def sbio_commutation_deviation(ks: KrausSet, rho) -> float:
@@ -359,7 +359,7 @@ class PbioSpec:
             raise ValueError(f"ancilla amplitudes are not normalized (off by {norm_dev:.3e})")
 
 
-def has_scaled_isometry_blocks(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
+def has_scaled_isometry_blocks(ks: KrausSet) -> bool:
     """Each nonzero block of each operator factors as scalar x unitary x projector.
 
     Concretely B^dag B must be diagonal with all nonzero diagonal entries
@@ -367,7 +367,7 @@ def has_scaled_isometry_blocks(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
     """
     p = ks.partition
     dims, offsets = np.array(p.dims), np.array(p.offsets)
-    n, r, c = np.nonzero(_nonzero_blocks(ks.operators, p, tol))
+    n, r, c = np.nonzero(_nonzero_blocks(ks.operators, p, ZERO_TOL))
     # one stacked Gram product per (row size, column size) of nonzero block
     for dr, dc in set(zip(dims[r].tolist(), dims[c].tolist())):
         pick = (dims[r] == dr) & (dims[c] == dc)
@@ -376,7 +376,7 @@ def has_scaled_isometry_blocks(ks: KrausSet, tol: float = ZERO_TOL) -> bool:
         blks = ks.operators[n[pick, None, None], rows[:, :, None], cols[:, None, :]]
         gram = blks.conj().swapaxes(-1, -2) @ blks
         mag = np.abs(gram)
-        thr = zero_threshold(mag.max(axis=(1, 2)), tol)
+        thr = zero_threshold(mag.max(axis=(1, 2)))
         diag = gram.diagonal(axis1=1, axis2=2).real
         mag[:, range(dc), range(dc)] = 0.0  # leaves the off-diagonal magnitudes
         live = diag > thr[:, None]

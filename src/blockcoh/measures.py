@@ -16,6 +16,7 @@ import numpy as np
 from .blockcore import BlockPartition, _as_stack, block_dephase, block_mask
 from .channels import KrausSet, apply_channel, branch_outputs, is_bio_semantic
 from .sampling import random_density_matrices
+from .serialize import matrix_to_json
 
 # Negative eigenvalues beyond this window are treated as invalid input.
 EIG_TOL = 1e-9
@@ -30,14 +31,14 @@ def _float_or_array(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def von_neumann_entropy(rho, tol: float = EIG_TOL):
+def von_neumann_entropy(rho):
     """Entropy -sum lambda log2 lambda in bits, with 0 log 0 = 0.
 
     ``rho`` is one (d, d) state, giving a float, or a stack (..., d, d),
-    giving an array of shape (...).  Eigenvalues inside [-tol, 0] are clamped
-    to zero; anything more negative, in any state of the stack, raises, since
-    that indicates a non-state rather than rounding noise.  Non-finite entries
-    raise too.
+    giving an array of shape (...).  Eigenvalues inside [-EIG_TOL, 0] are
+    clamped to zero; anything more negative, in any state of the stack,
+    raises, since that indicates a non-state rather than rounding noise.
+    Non-finite entries raise too.
     """
     rho = np.asarray(rho, dtype=complex)
     if not np.isfinite(rho).all():
@@ -47,7 +48,7 @@ def von_neumann_entropy(rho, tol: float = EIG_TOL):
     herm /= 2
     vals = np.linalg.eigvalsh(herm)
     lo = vals.min(initial=0.0)
-    if lo < -tol:
+    if lo < -EIG_TOL:
         raise ValueError(f"input is not positive semidefinite (min eigenvalue {lo:.3e})")
     vals = np.clip(vals, 0.0, 1.0)
     # log2(1) = 0 in place of log2(0), so clamped eigenvalues add exactly 0
@@ -74,11 +75,6 @@ def l1_block_coherence(partition: BlockPartition, rho):
     # mask indexing of a stack leaves rows strided; contiguous rows make each
     # sum the same pairwise sum as for a single state
     return _float_or_array(np.abs(np.ascontiguousarray(rho[..., off])).sum(axis=-1))
-
-
-def _require_free_channel(channel: KrausSet):
-    if not is_bio_semantic(channel):
-        raise ValueError("channel is not block-incoherent branch by branch; probe is meaningless")
 
 
 # Each probe scans its trials in chunks of PROBE_CHUNK.  A chunk function maps
@@ -152,6 +148,25 @@ def _convexity_scan(measure, partition, trials, seed):
     return _scan(trials, chunk)
 
 
+PROBES = ("monotonicity", "strong-monotonicity", "convexity")
+
+
+def _probe(probe: str, measure, partition, channel, trials: int, seed: int):
+    """(worst gain, offending state) of the named probe.
+
+    The monotonicity probes first require a channel that is free branch by
+    branch; the convexity probe takes no channel.
+    """
+    if probe not in PROBES:
+        raise ValueError(f"unknown probe {probe!r}, expected one of {PROBES}")
+    if probe == "convexity":
+        return _convexity_scan(measure, partition, trials, seed)
+    if not is_bio_semantic(channel):
+        raise ValueError("channel is not block-incoherent branch by branch; probe is meaningless")
+    scan = _monotonicity_scan if probe == "monotonicity" else _strong_monotonicity_scan
+    return scan(measure, partition, channel, trials, seed)
+
+
 def monotonicity_probe(measure, partition: BlockPartition, channel: KrausSet,
                        trials: int = 200, seed: int = 0) -> float:
     """Worst increase of ``measure`` under the full channel over random states.
@@ -163,8 +178,7 @@ def monotonicity_probe(measure, partition: BlockPartition, channel: KrausSet,
     not depend on evaluation order.  Returns max(0, worst observed increase).
     A NaN increase raises ValueError.
     """
-    _require_free_channel(channel)
-    return _monotonicity_scan(measure, partition, channel, trials, seed)[0]
+    return _probe("monotonicity", measure, partition, channel, trials, seed)[0]
 
 
 def strong_monotonicity_probe(measure, partition: BlockPartition, channel: KrausSet,
@@ -176,8 +190,7 @@ def strong_monotonicity_probe(measure, partition: BlockPartition, channel: Kraus
     ``measure`` takes stacks, as in monotonicity_probe; here a stack of shape
     (T, n, d, d) for n operators.
     """
-    _require_free_channel(channel)
-    return _strong_monotonicity_scan(measure, partition, channel, trials, seed)[0]
+    return _probe("strong-monotonicity", measure, partition, channel, trials, seed)[0]
 
 
 def convexity_probe(measure, partition: BlockPartition,
@@ -187,10 +200,7 @@ def convexity_probe(measure, partition: BlockPartition,
     Each trial mixes 2 to 4 random states with Dirichlet weights.  ``measure``
     takes stacks, as in monotonicity_probe.
     """
-    return _convexity_scan(measure, partition, trials, seed)[0]
-
-
-PROBES = ("monotonicity", "strong-monotonicity", "convexity")
+    return _probe("convexity", measure, partition, None, trials, seed)[0]
 
 
 def probe_report(probe: str, measure, partition: BlockPartition, channel: KrausSet = None,
@@ -201,23 +211,10 @@ def probe_report(probe: str, measure, partition: BlockPartition, channel: KrausS
     the offending state (the mixture, for the convexity probe) so it can be
     persisted and replayed.
     """
-    if probe not in PROBES:
-        raise ValueError(f"unknown probe {probe!r}, expected one of {PROBES}")
-    if probe == "convexity":
-        worst, offender = _convexity_scan(measure, partition, trials, seed)
-    else:
-        _require_free_channel(channel)
-        scan = _monotonicity_scan if probe == "monotonicity" else _strong_monotonicity_scan
-        worst, offender = scan(measure, partition, channel, trials, seed)
-    if offender is None:
-        encoded = None
-    else:
-        from .serialize import matrix_to_json
-
-        encoded = matrix_to_json(offender)
+    worst, offender = _probe(probe, measure, partition, channel, trials, seed)
     return {
         "probe": probe,
         "trials": trials,
         "worst_violation": float(worst),
-        "counterexample": encoded,
+        "counterexample": None if offender is None else matrix_to_json(offender),
     }

@@ -16,9 +16,9 @@ import numpy as np
 from . import blockcore, channels, counting, measures, naimark, sampling
 from .blockcore import BlockPartition
 
-DEV_TOL = 1e-9      # semantic, commutation, unitarity and projector deviations
-PROB_TOL = 1e-10    # dilation probabilities
-PROBE_TOL = 1e-8    # monotonicity, selective monotonicity and convexity gains
+DEV_TOL = 1e-9              # semantic, commutation, unitarity and projector deviations
+DILATION_PROB_TOL = 1e-10   # dilation probabilities
+PROBE_TOL = 1e-8            # monotonicity, selective monotonicity and convexity gains
 
 
 class Check(NamedTuple):
@@ -129,7 +129,7 @@ def dilation(seed: int, povms: int, states: int) -> list[Check]:
               f"worst_dev={worst_unitary:.3e}", worst_unitary),
         Check("dilation-pvm-properties", traces_ok and worst_pvm <= DEV_TOL,
               f"worst_dev={worst_pvm:.3e}", worst_pvm),
-        Check("dilation-probabilities", worst_prob <= PROB_TOL,
+        Check("dilation-probabilities", worst_prob <= DILATION_PROB_TOL,
               f"worst_dev={worst_prob:.3e}", worst_prob),
     ]
 

@@ -4,6 +4,7 @@ import ast
 import inspect
 
 import blockcoh
+from blockcoh import channels
 
 
 def package_imports():
@@ -23,3 +24,11 @@ def test_star_import_binds_every_public_name():
 def test_all_lists_exactly_the_package_imports():
     assert len(set(blockcoh.__all__)) == len(blockcoh.__all__)
     assert sorted(blockcoh.__all__) == sorted(package_imports())
+
+
+def test_only_two_public_callables_take_a_tolerance():
+    # every other check reads its module constant; classify --tol reaches classifier_report
+    candidates = [getattr(blockcoh, name) for name in blockcoh.__all__]
+    tuned = sorted(fn.__name__ for fn in candidates + [channels.semantic_verdict]
+                   if inspect.isfunction(fn) and "tol" in inspect.signature(fn).parameters)
+    assert tuned == ["classifier_report", "is_block_incoherent"]

@@ -771,7 +771,7 @@ def test_commutation_deviation_matches_einsum():
 
 def reference_scaled_isometry_blocks(ks, tol=ZERO_TOL):
     p = ks.partition
-    for n, r, c in np.argwhere(np.array([block_pattern(op, p, tol) for op in ks.operators])):
+    for n, r, c in np.argwhere(np.array([reference_block_pattern(op, p, tol) for op in ks.operators])):
         blk = ks.operators[n][p.block_slice(r), p.block_slice(c)]
         gram = blk.conj().T @ blk
         thr = tol * (1.0 + float(np.max(np.abs(gram))))

@@ -221,6 +221,27 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["tolerance"] == 1e-6
 
 
+def test_tolerance_reaches_every_verdict(tmp_path, capsys, monkeypatch):
+    # entries of 3e-10 where a member is exactly zero: above the default 1e-10, below 1e-6
+    keys = ("mbio", "bio_structural", "bio_semantic", "sbio_structural", "sbio_semantic")
+    for dims in ((2, 3), (1, 2, 2)):
+        p = BlockPartition(dims)
+        ops = gen_random("sbio", p, 3).operators.copy()
+        ops[ops == 0] = 3e-10
+        path = write_kraus(tmp_path / "leak.json", KrausSet(p, ops))
+        code, out, _ = run(capsys, "classify", path)
+        report = json.loads(out)
+        assert code == 0 and report["cptp"] is True, dims
+        assert [report[k] for k in keys] == [False] * len(keys), dims
+        code, flag, _ = run(capsys, "classify", path, "--tol=1e-6")
+        monkeypatch.setenv("BLOCKCOH_TOL", "1e-6")
+        env_code, env, _ = run(capsys, "classify", path)
+        monkeypatch.delenv("BLOCKCOH_TOL")
+        assert code == env_code == 0 and flag == env, dims
+        report = json.loads(flag)
+        assert all(report[k] is True for k in ("cptp",) + keys), dims
+
+
 def test_classify_rejects_non_finite_entries(tmp_path, capsys):
     for bad in (float("nan"), float("inf"), float("-inf")):
         obj = kraus_to_json(KrausSet(BlockPartition((2, 3)), np.eye(5)))
