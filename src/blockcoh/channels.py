@@ -505,45 +505,50 @@ def _sbio_patterns(partition: BlockPartition, n_ops: int, rng):
     return [[[int(r)] for r in rng.permutation(k)] for _ in range(n_ops)]
 
 
-def _size_preserving_block_permutation(partition: BlockPartition, rng) -> np.ndarray:
-    tau = np.arange(partition.num_blocks)
-    by_size = {}
-    for idx, size in enumerate(partition.dims):
-        by_size.setdefault(size, []).append(idx)
-    for group in by_size.values():
-        shuffled = rng.permutation(group)
-        for src, dst in zip(group, shuffled):
-            tau[src] = dst
-    return tau
-
-
 def _random_pbio_spec(partition: BlockPartition, rng) -> PbioSpec:
     # Ancilla: a small random partition with the free state in one block.
     anc = BlockPartition([int(x) for x in rng.integers(1, 4, size=int(rng.integers(1, 4)))])
     da, db = partition.total, anc.total
-    b0 = int(rng.integers(anc.num_blocks))
-    b0_slice = anc.block_slice(b0)
+    b0 = anc.block_slice(int(rng.integers(anc.num_blocks)))
     amps = np.zeros(db, dtype=complex)
-    g = ginibre(rng, anc.dims[b0])
-    amps[b0_slice] = g / np.linalg.norm(g)
+    g = ginibre(rng, b0.stop - b0.start)
+    amps[b0] = g / np.linalg.norm(g)
     # Permutation: identity everywhere except on ancilla indices in block b0,
     # where each system block a maps onto a same-sized block tau(a) while the
     # ancilla index is permuted inside b0.  This respects the product block
     # structure, so the reduction below stays inside the strict class.
-    tau = _size_preserving_block_permutation(partition, rng)
+    tau = np.arange(partition.num_blocks)
+    for size in dict.fromkeys(partition.dims):
+        group = [i for i, dim in enumerate(partition.dims) if dim == size]
+        tau[group] = rng.permutation(group)
     pi_sys = np.tile(np.arange(da)[:, None], (1, db))
     pi_anc = np.tile(np.arange(db)[None, :], (da, 1))
     for a in range(partition.num_blocks):
         src = partition.block_slice(a)
         dst_off = partition.offsets[tau[a]]
         alpha = rng.permutation(partition.dims[a])
-        beta = rng.permutation(anc.dims[b0])
-        for xl, x in enumerate(range(src.start, src.stop)):
-            for sl, s in enumerate(range(b0_slice.start, b0_slice.stop)):
-                pi_sys[x, s] = dst_off + alpha[xl]
-                pi_anc[x, s] = b0_slice.start + beta[sl]
+        beta = rng.permutation(b0.stop - b0.start)
+        pi_sys[src, b0] = dst_off + alpha[:, None]
+        pi_anc[src, b0] = b0.start + beta
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(da, db))
     return PbioSpec(partition, anc, amps, pi_sys, pi_anc, phases)
+
+
+def _generate(partition: BlockPartition, rng, draw, accept, error: str) -> KrausSet:
+    """The first complete set from up to 32 rounds of ``draw(n_ops)`` that passes ``accept``.
+
+    n_ops = d + 0..2 is drawn once; a pattern that cannot be completed is
+    skipped.  Raises RuntimeError(``error``) when no round succeeds."""
+    n_ops = partition.total + int(rng.integers(0, 3))
+    for _ in range(32):
+        try:
+            ops = _kraus_from_block_patterns(partition, draw(n_ops), rng)
+        except RuntimeError:
+            continue
+        ks = KrausSet(partition, ops)
+        if verify_cptp(ks) and accept(ks):
+            return ks
+    raise RuntimeError(error)
 
 
 def gen_random(kind: str, partition: BlockPartition, seed: int) -> KrausSet:
@@ -557,24 +562,14 @@ def gen_random(kind: str, partition: BlockPartition, seed: int) -> KrausSet:
     if kind not in GEN_KINDS:
         raise ValueError(f"unknown channel class {kind!r}, expected one of {GEN_KINDS}")
     rng = as_rng(seed)
-    d = partition.total
     if kind == "unitary":
-        return KrausSet(partition, haar_unitary(d, rng)[None, :, :])
+        return KrausSet(partition, haar_unitary(partition.total, rng)[None, :, :])
     if kind == "pbio":
         return build_pbio(_random_pbio_spec(partition, rng))
-    n_ops = d + int(rng.integers(0, 3))
     sampler = _bio_patterns if kind == "bio" else _sbio_patterns
-    checker = is_bio_structural if kind == "bio" else is_sbio_structural
-    for _ in range(32):
-        patterns = sampler(partition, n_ops, rng)
-        try:
-            ops = _kraus_from_block_patterns(partition, patterns, rng)
-        except RuntimeError:
-            continue
-        ks = KrausSet(partition, ops)
-        if verify_cptp(ks) and checker(ks):
-            return ks
-    raise RuntimeError(f"could not generate a {kind} set for partition {partition}")
+    return _generate(partition, rng, lambda n_ops: sampler(partition, n_ops, rng),
+                     is_bio_structural if kind == "bio" else is_sbio_structural,
+                     f"could not generate a {kind} set for partition {partition}")
 
 
 def gen_pattern_violating(kind: str, partition: BlockPartition, seed: int) -> KrausSet:
@@ -593,8 +588,9 @@ def gen_pattern_violating(kind: str, partition: BlockPartition, seed: int) -> Kr
     if k < 2:
         raise ValueError("a single-block partition admits no violating pattern")
     rng = as_rng(seed)
-    n_ops = partition.total + int(rng.integers(0, 3))
-    for _ in range(32):
+    structural = is_bio_structural if kind == "bio" else is_sbio_structural
+
+    def draw(n_ops):
         if kind == "bio":
             patterns = _bio_patterns(partition, n_ops, rng)
             r1 = patterns[0][0][0]
@@ -605,12 +601,7 @@ def gen_pattern_violating(kind: str, partition: BlockPartition, seed: int) -> Kr
             largest = [int(np.argmax(partition.dims))]
             for n in (0, 1):
                 patterns[n][0] = patterns[n][1] = largest
-        try:
-            ops = _kraus_from_block_patterns(partition, patterns, rng)
-        except RuntimeError:
-            continue
-        ks = KrausSet(partition, ops)
-        broken = is_bio_structural(ks) if kind == "bio" else is_sbio_structural(ks)
-        if verify_cptp(ks) and not broken:
-            return ks
-    raise RuntimeError(f"could not generate a {kind}-violating set for {partition}")
+        return patterns
+
+    return _generate(partition, rng, draw, lambda ks: not structural(ks),
+                     f"could not generate a {kind}-violating set for {partition}")

@@ -20,9 +20,10 @@ Usage examples:
   # run a named verification suite
   blockcoh verify inclusion --trials 50 --seed 3
 
-All randomness is seeded (default seed 42) and outputs are byte-stable for
-identical invocations.  The default classifier tolerance is 1e-10 and can be
-overridden with classify --tol or the BLOCKCOH_TOL environment variable.
+All randomness is seeded (default seed 42; --seed takes an integer >= 0) and
+outputs are byte-stable for identical invocations.  The default classifier
+tolerance is blockcore.ZERO_TOL (1e-10) and can be overridden with
+classify --tol or the BLOCKCOH_TOL environment variable.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 import sys
 
 from . import channels, counting, measures, naimark, serialize, verify
-from .blockcore import BlockPartition, validate_density_matrix
+from .blockcore import ZERO_TOL, BlockPartition
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200
@@ -43,8 +44,8 @@ DEFAULT_PARTITION = BlockPartition((2, 3))
 
 
 def _tolerance(value) -> float:
-    """The classifier tolerance: --tol, else BLOCKCOH_TOL, else 1e-10."""
-    text = os.environ.get("BLOCKCOH_TOL", "1e-10") if value is None else value
+    """The classifier tolerance: --tol, else BLOCKCOH_TOL, else ZERO_TOL."""
+    text = os.environ.get("BLOCKCOH_TOL", ZERO_TOL) if value is None else value
     try:
         tol = float(text)
     except ValueError:
@@ -67,7 +68,10 @@ def cmd_classify(args) -> tuple[int, str]:
     # the parsed document is dropped here, before the classifiers run
     ks = serialize.kraus_from_json(_read_json(args.kraus_file))
     if args.partition is not None:
-        ks = channels.KrausSet(args.partition, ks.operators)
+        try:
+            ks = channels.KrausSet(args.partition, ks.operators)
+        except ValueError as exc:  # a total that differs from the operators' size
+            raise serialize.SchemaError(str(exc)) from None
     report = channels.classifier_report(ks, _tolerance(args.tol))
     return (0 if report["cptp"] else 2), serialize.dumps(report)
 
@@ -78,15 +82,14 @@ def cmd_gen(args) -> tuple[int, str]:
 
 
 def cmd_bound(args) -> tuple[int, str]:
-    if args.kind == "bio":
-        report = counting.bio_bound(args.partition)
-    else:
-        report = counting.sbio_bound(args.partition)
+    # str(int) stops at sys.get_int_max_str_digits(); Decimal's str does not
+    import decimal  # here, so that no other command loads it
+    report = (counting.bio_bound if args.kind == "bio" else counting.sbio_bound)(args.partition)
     payload = {
         "partition": list(args.partition.dims),
         "class": report.kind,
-        "per_level": [str(c) for c in report.per_level],
-        "total": str(report.total),
+        "per_level": [str(decimal.Decimal(c)) for c in report.per_level],
+        "total": str(decimal.Decimal(report.total)),
     }
     return 0, serialize.dumps(payload)
 
@@ -107,7 +110,7 @@ def cmd_dilate(args) -> tuple[int, str]:
 
 
 def cmd_measure(args) -> tuple[int, str]:
-    rho = validate_density_matrix(serialize.state_from_json(_read_json(args.state)))
+    rho = serialize.state_from_json(_read_json(args.state))
     if rho.shape[0] != args.partition.total:
         raise serialize.SchemaError(
             f"state dimension {rho.shape[0]} does not match partition {args.partition}"
@@ -126,8 +129,6 @@ def cmd_measure(args) -> tuple[int, str]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
-    if args.trials < 1:
-        raise serialize.SchemaError(f"--trials must be at least 1, got {args.trials}")
     partition = args.partition
     if partition is None:
         partition = DEFAULT_PARTITION
@@ -151,6 +152,16 @@ def cmd_verify(args) -> tuple[int, str]:
             detail += f" counterexample={artifact}"
         lines.append(f"{'PASS' if check.passed else 'FAIL'} {check.name} {detail}\n")
     return (0 if all(check.passed for check in checks) else 1), "".join(lines)
+
+
+def _int_arg(minimum: int):
+    """An argparse type: an integer >= ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+    return integer
 
 
 def _partition_arg(text: str) -> BlockPartition:
@@ -192,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--partition", type=_partition_arg, default=partition,
                            help="comma-separated block sizes, e.g. 2,3")
         if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=_int_arg(0), default=DEFAULT_SEED)
         return p
 
     p = add("classify", cmd_classify, "classify a Kraus-set file")
     p.add_argument("kraus_file", help="Kraus-set JSON file, or - for stdin")
     p.add_argument("--tol", type=float, default=None,
-                   help="classifier tolerance (default: BLOCKCOH_TOL or 1e-10)")
+                   help=f"classifier tolerance (default: BLOCKCOH_TOL or {ZERO_TOL:g})")
 
     p = add("gen", cmd_gen, "generate a random channel of a class", DEFAULT_PARTITION, seed=True)
     p.add_argument("--class", dest="kind", required=True, choices=channels.GEN_KINDS)
@@ -217,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     # default None, so that an explicit --partition is told from the default 2,3
     p = add("verify", cmd_verify, "run a named verification suite", None, seed=True)
     p.add_argument("suite", choices=tuple(verify.SUITES))
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_int_arg(1), default=DEFAULT_TRIALS)
 
     return parser
 

@@ -87,25 +87,12 @@ def sbio_bound(partition: BlockPartition, max_blocks: int = MAX_SBIO_BLOCKS) -> 
 
 
 def rank_one_bio_total(d: int) -> int:
-    """Closed form d (d**d - 1) / (d - 1) for the all-ones partition."""
+    """Closed form d (d**d - 1) / (d - 1) for the all-ones partition; d >= 2."""
+    if d < 2:
+        raise ValueError(f"the rank-one closed forms need d >= 2, got {d}")
     return d * (d**d - 1) // (d - 1)
 
 
 def rank_one_sbio_total(d: int) -> int:
     """Closed form sum_{k=1..d} d! / (k-1)! for the all-ones partition."""
     return sum(math.factorial(d) // math.factorial(k - 1) for k in range(1, d + 1))
-
-
-def rank_one_reduction_check(d: int) -> bool:
-    """True when both bounds on the all-ones partition match their closed forms.
-
-    The BIO closed form divides by d - 1, so d starts at 2; above
-    ``MAX_SBIO_BLOCKS`` sbio_bound raises ValueError.
-    """
-    if d < 2:
-        raise ValueError(f"the rank-one closed forms need d >= 2, got {d}")
-    ones = BlockPartition([1] * d)
-    return (
-        bio_bound(ones).total == rank_one_bio_total(d)
-        and sbio_bound(ones).total == rank_one_sbio_total(d)
-    )

@@ -4,8 +4,9 @@ A matrix is an array of rows; each entry is a two-element array [re, im] of
 finite JSON numbers (integers or floats; strings and booleans are rejected).
 A state file is {"dim": d, "matrix": [...]}.  A Kraus-set file is
 {"dim": d, "partition": [d_1, ...], "kraus": [matrix, ...]}.  A POVM file is
-{"dim": d, "effects": [matrix, ...]}.  Partitions on the command line are
-comma-separated positive integers, e.g. "2,3".
+{"dim": d, "effects": [matrix, ...]}; without "dim", each effect has the size
+of the first.  Partitions on the command line are comma-separated fields of
+ASCII digits, e.g. "2,3" or "2, 3", checked as a "partition" array is.
 
 ``load_json`` reads these files one operator at a time: each matrix of a
 "kraus" or "effects" array is decoded as soon as it is parsed, so the
@@ -23,7 +24,7 @@ import stat
 
 import numpy as np
 
-from .blockcore import BlockPartition
+from .blockcore import BlockPartition, validate_density_matrix
 from .channels import KrausSet
 from .naimark import Povm
 
@@ -202,11 +203,15 @@ def load_json(text: str):
 
 
 def parse_partition(text: str) -> BlockPartition:
+    fields = [field.strip() for field in str(text).split(",")]
+    for field in fields:
+        if not re.fullmatch("[0-9]+", field):
+            raise SchemaError(f"bad partition {text!r}: {field!r} is not a block size")
     try:
-        dims = [int(x) for x in str(text).split(",") if x.strip()]
-        return BlockPartition(dims)
-    except ValueError as exc:
-        raise SchemaError(f"bad partition {text!r}: {exc}") from exc
+        dims = [int(field) for field in fields]
+    except ValueError as exc:  # past int()'s digit limit
+        raise SchemaError(f"bad partition {text!r}: {exc}") from None
+    return partition_from_json(dims)
 
 
 def partition_from_json(obj) -> BlockPartition:
@@ -234,13 +239,35 @@ def _dim_from_json(obj: dict, default):
 
 
 def state_from_json(obj) -> np.ndarray:
+    """The state's matrix, checked as a density matrix; a failed check is a SchemaError."""
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise SchemaError('state file must be an object with "dim" and "matrix"')
     mat = matrix_from_json(obj["matrix"], "state matrix")
     dim = _dim_from_json(obj, mat.shape[0])
     if mat.shape != (dim, dim):
         raise SchemaError(f"state matrix is {mat.shape[0]}x{mat.shape[1]}, expected {dim}x{dim}")
-    return mat
+    try:
+        return validate_density_matrix(mat)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _matrices_from_json(obj: dict, key: str, what: str, dim=None) -> np.ndarray:
+    """The nonempty array obj[key] of dim x dim matrices, element n named "{what} n".
+
+    ``dim`` None reads the file's "dim"; without one, each has the first's shape."""
+    if not isinstance(obj[key], list) or not obj[key]:
+        raise SchemaError(f'"{key}" must be a nonempty array of matrices')
+    if dim is None:
+        dim = _dim_from_json(obj, None)
+    shape, mats = (None if dim is None else (dim, dim)), []
+    for n, raw in enumerate(obj[key]):
+        mat = matrix_from_json(raw, f"{what} {n}")
+        shape = shape or mat.shape
+        if mat.shape != shape:
+            raise SchemaError("{} {} is {}x{}, expected {}x{}".format(what, n, *mat.shape, *shape))
+        mats.append(mat)
+    return np.array(mats)
 
 
 def kraus_to_json(ks: KrausSet) -> dict:
@@ -258,17 +285,7 @@ def kraus_from_json(obj) -> KrausSet:
     dim = _dim_from_json(obj, partition.total)
     if dim != partition.total:
         raise SchemaError(f"dim {dim} does not match partition total {partition.total}")
-    if not isinstance(obj["kraus"], list) or not obj["kraus"]:
-        raise SchemaError('"kraus" must be a nonempty array of matrices')
-    ops = []
-    for n, raw in enumerate(obj["kraus"]):
-        op = matrix_from_json(raw, f"operator {n}")
-        if op.shape != (dim, dim):
-            raise SchemaError(
-                f"operator {n} is {op.shape[0]}x{op.shape[1]}, expected {dim}x{dim}"
-            )
-        ops.append(op)
-    return KrausSet(partition, np.array(ops))
+    return KrausSet(partition, _matrices_from_json(obj, "kraus", "operator", dim))
 
 
 def povm_to_json(povm: Povm) -> dict:
@@ -278,17 +295,9 @@ def povm_to_json(povm: Povm) -> dict:
 def povm_from_json(obj) -> Povm:
     if not isinstance(obj, dict) or "effects" not in obj:
         raise SchemaError('POVM file must be an object with "dim" and "effects"')
-    if not isinstance(obj["effects"], list) or not obj["effects"]:
-        raise SchemaError('"effects" must be a nonempty array of matrices')
-    effects = []
-    dim = _dim_from_json(obj, None)
-    for i, raw in enumerate(obj["effects"]):
-        e = matrix_from_json(raw, f"effect {i}")
-        if dim is not None and e.shape != (dim, dim):
-            raise SchemaError(f"effect {i} is {e.shape[0]}x{e.shape[1]}, expected {dim}x{dim}")
-        effects.append(e)
+    effects = _matrices_from_json(obj, "effects", "effect")
     try:
-        return Povm(np.array(effects))
+        return Povm(effects)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

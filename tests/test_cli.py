@@ -1,3 +1,4 @@
+import decimal
 import importlib
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockcoh import cli, measures, serialize
+from blockcoh import cli, counting, measures, serialize
 from blockcoh.blockcore import BlockPartition, block_dephase, block_projectors, is_block_incoherent
 from blockcoh.channels import KrausSet, classifier_report, gen_pattern_violating, gen_random
 from blockcoh.cli import main
@@ -28,6 +29,17 @@ def run(capsys, *argv):
 def write_kraus(path, ks):
     path.write_text(json.dumps(kraus_to_json(ks)))
     return str(path)
+
+
+def parse_error_exit(capsys, *argv):
+    """The one JSON error line of a usage error, which exits 1 through SystemExit."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 1 and out == "" and err.count("\n") == 1, argv
+    message = json.loads(err)
+    assert message["kind"] == "parse", argv
+    return message["error"]
 
 
 def test_classify_projectors(tmp_path, capsys):
@@ -285,10 +297,9 @@ def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, monkeypatch)
 
 
 def test_verify_needs_at_least_one_trial(capsys):
+    # rejected where argparse converts the flag, so main exits through SystemExit
     for trials in ("0", "-3"):
-        code, out, err = run(capsys, "verify", "inclusion", "--trials", trials)
-        assert code == 1 and out == ""
-        assert json.loads(err)["kind"] == "parse"
+        parse_error_exit(capsys, "verify", "inclusion", "--trials", trials)
 
 
 def test_flags_only_on_commands_that_read_them(capsys):
@@ -608,3 +619,70 @@ def test_every_verify_check_can_fail(suite, failing, target, breaking, capsys, t
     for probe, artifact in zip(probes, artifacts):
         assert lines[probe].endswith(f" counterexample={artifact}")
         assert json.loads((tmp_path / artifact).read_text())["probe"] == probe
+
+
+def test_bound_prints_totals_past_the_int_digit_limit(capsys):
+    # str() of an int stops at 4300 digits by default; the bound at (120,120) has 4335
+    code, out, err = run(capsys, "bound", "--class", "bio", "--partition", "120,120")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    want = counting.bio_bound(BlockPartition((120, 120)))
+    assert len(payload["total"]) > 4300
+    # compared through Decimal, since int() of the text is limited too
+    assert decimal.Decimal(payload["total"]) == decimal.Decimal(want.total)
+    assert [decimal.Decimal(c) for c in payload["per_level"]] == [
+        decimal.Decimal(c) for c in want.per_level]
+
+
+def test_command_line_partitions_follow_the_json_rule(capsys):
+    for text in ("2,,3", "2,3,", ",2", "1_0", "", " ", "2,x", "+2", "-1,2", "2.0", "0,3",
+                 "٣", "２,3", "2 3"):
+        parse_error_exit(capsys, "gen", "--class", "bio", f"--partition={text}")
+        with pytest.raises(serialize.SchemaError):
+            serialize.parse_partition(text)
+    # whitespace around a field is stripped
+    assert serialize.parse_partition(" 2, 3 ") == BlockPartition((2, 3))
+    _, want, _ = run(capsys, "gen", "--class", "bio", "--partition", "2,3")
+    code, got, _ = run(capsys, "gen", "--class", "bio", "--partition", "2, 3")
+    assert code == 0 and got == want
+
+
+def test_negative_seed_is_a_parse_error(capsys):
+    for argv in (["gen", "--class", "bio", "--seed", "-1"],
+                 ["verify", "lemmas", "--seed", "-1"],
+                 ["verify", "inclusion", "--seed=-7", "--trials", "2"]):
+        assert "--seed" in parse_error_exit(capsys, *argv)
+    code, out, _ = run(capsys, "gen", "--class", "bio", "--seed", "0")
+    assert code == 0 and json.loads(out)["partition"] == [2, 3]
+
+
+def test_input_file_content_errors_are_parse_errors(tmp_path, capsys):
+    zero = {"dim": 2, "matrix": matrix_to_json(np.zeros((2, 2)))}
+    skew = {"dim": 2, "matrix": matrix_to_json(np.array([[0.5, 1.0], [0.0, 0.5]]))}
+    negative = {"dim": 2, "matrix": matrix_to_json(np.diag([1.5, -0.5]))}
+    for state, why in ((zero, "trace differs from 1"), (skew, "not hermitian"),
+                       (negative, "not positive semidefinite")):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        code, out, err = run(capsys, "measure", "--state", str(path), "--partition", "1,1")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        message = json.loads(err)
+        assert message["kind"] == "parse" and why in message["error"], message
+    p = BlockPartition((1, 1))
+    path = write_kraus(tmp_path / "k.json", KrausSet(p, np.array(block_projectors(p))))
+    code, out, err = run(capsys, "classify", path, "--partition", "1,1,1")
+    assert code == 1 and out == ""
+    message = json.loads(err)
+    assert message["kind"] == "parse" and "must be 3x3" in message["error"], message
+
+
+def test_povm_effects_without_dim_take_the_first_effects_size(tmp_path, capsys):
+    effect = matrix_to_json(np.eye(2))
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps({"effects": [[[[1, 0]]], effect]}))
+    code, out, err = run(capsys, "dilate", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "effect 1 is 2x2, expected 1x1", "kind": "parse"}
+    # effects that agree in size are read without "dim"
+    povm = serialize.povm_from_json({"effects": [effect]})
+    assert povm.dim == 2 and povm.n_outcomes == 1

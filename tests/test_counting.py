@@ -3,13 +3,13 @@ import math
 
 import pytest
 
+from blockcoh import verify
 from blockcoh.blockcore import BlockPartition
 from blockcoh.channels import gen_random
 from blockcoh.counting import (
     BoundReport,
     bio_bound,
     rank_one_bio_total,
-    rank_one_reduction_check,
     rank_one_sbio_total,
     sbio_bound,
 )
@@ -78,14 +78,14 @@ def test_sbio_bound_against_brute_enumeration():
 
 def test_rank_one_closed_forms():
     for d in range(2, 7):
-        assert rank_one_reduction_check(d)
+        assert verify.rank_one_bounds(d).passed
     assert rank_one_bio_total(2) == 6
     assert rank_one_sbio_total(2) == 4
     assert rank_one_bio_total(3) == 39
     assert rank_one_sbio_total(3) == 15
     assert rank_one_bio_total(5) == 3905
     with pytest.raises(ValueError):
-        rank_one_reduction_check(9)
+        verify.rank_one_bounds(9)
 
 
 def test_single_block_partition():
