@@ -20,10 +20,16 @@ Usage examples:
   # run a named verification suite
   blockcoh verify inclusion --trials 50 --seed 3
 
-All randomness is seeded (default seed 42; --seed takes an integer >= 0) and
-outputs are byte-stable for identical invocations.  The default classifier
-tolerance is blockcore.ZERO_TOL (1e-10) and can be overridden with
-classify --tol or the BLOCKCOH_TOL environment variable.
+All randomness is seeded (default seed 42) and outputs are byte-stable for
+identical invocations.  --seed (>= 0), --trials (>= 1) and each --partition
+field are read by one rule, serialize.parse_int: ASCII digits, with the
+whitespace around them stripped.  Flags are written in full; an abbreviation
+such as --se is a usage error.  The default classifier tolerance is
+blockcore.ZERO_TOL (1e-10) and can be overridden with classify --tol or the
+BLOCKCOH_TOL environment variable.
+
+Every error, a usage error included, is one JSON line on stderr, and main()
+returns 1 for it; only -h leaves main through SystemExit.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ def _read_json(path: str):
 
 
 def cmd_classify(args) -> tuple[int, str]:
+    tol = _tolerance(args.tol)  # before the file, so a bad tolerance costs no read
     # the parsed document is dropped here, before the classifiers run
     ks = serialize.kraus_from_json(_read_json(args.kraus_file))
     if args.partition is not None:
@@ -72,7 +79,7 @@ def cmd_classify(args) -> tuple[int, str]:
             ks = channels.KrausSet(args.partition, ks.operators)
         except ValueError as exc:  # a total that differs from the operators' size
             raise serialize.SchemaError(str(exc)) from None
-    report = channels.classifier_report(ks, _tolerance(args.tol))
+    report = channels.classifier_report(ks, tol)
     return (0 if report["cptp"] else 2), serialize.dumps(report)
 
 
@@ -154,39 +161,33 @@ def cmd_verify(args) -> tuple[int, str]:
     return (0 if all(check.passed for check in checks) else 1), "".join(lines)
 
 
-def _int_arg(minimum: int):
-    """An argparse type: an integer >= ``minimum``."""
-    def integer(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as "invalid integer value"
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
-        return value
-    return integer
+def _arg(parse, *args):
+    """An argparse type: ``parse(text, *args)``, its SchemaError reported as argparse's own.
 
-
-def _partition_arg(text: str) -> BlockPartition:
-    try:
-        return serialize.parse_partition(text)
-    except serialize.SchemaError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    argparse would catch a SchemaError as a ValueError and word it itself.
+    """
+    def convert(text: str):
+        try:
+            return parse(text, *args)
+        except serialize.SchemaError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with its usage errors in the one-line JSON error form.
+    """argparse with its usage errors raised as a SchemaError, for main to report.
 
     Subparsers are made with the parser's own class, so they inherit this.
-    The exit code is 1, as for every other JSON error line; 2 is left to
-    ``classify`` for an incomplete channel.
     """
 
     def error(self, message):
-        sys.stderr.write(json.dumps({"error": f"{self.prog}: {message}", "kind": "parse"}) + "\n")
-        raise SystemExit(1)
+        raise serialize.SchemaError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="blockcoh",
+        allow_abbrev=False,
         description="Block-coherence toolkit: classify, generate, bound, dilate, measure, verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -196,19 +197,19 @@ def build_parser() -> argparse.ArgumentParser:
 
         ``partition`` is the --partition default; False leaves the flag out.
         """
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.set_defaults(func=func)
         p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
         if partition is not False:
-            p.add_argument("--partition", type=_partition_arg, default=partition,
+            p.add_argument("--partition", type=_arg(serialize.parse_partition), default=partition,
                            help="comma-separated block sizes, e.g. 2,3")
         if seed:
-            p.add_argument("--seed", type=_int_arg(0), default=DEFAULT_SEED)
+            p.add_argument("--seed", type=_arg(serialize.parse_int, 0), default=DEFAULT_SEED)
         return p
 
     p = add("classify", cmd_classify, "classify a Kraus-set file")
     p.add_argument("kraus_file", help="Kraus-set JSON file, or - for stdin")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", default=None,
                    help=f"classifier tolerance (default: BLOCKCOH_TOL or {ZERO_TOL:g})")
 
     p = add("gen", cmd_gen, "generate a random channel of a class", DEFAULT_PARTITION, seed=True)
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     # default None, so that an explicit --partition is told from the default 2,3
     p = add("verify", cmd_verify, "run a named verification suite", None, seed=True)
     p.add_argument("suite", choices=tuple(verify.SUITES))
-    p.add_argument("--trials", type=_int_arg(1), default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_arg(serialize.parse_int, 1), default=DEFAULT_TRIALS)
 
     return parser
 
@@ -240,8 +241,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         code, text = args.func(args)
         if args.output:
             serialize.write_text_atomic(args.output, text)

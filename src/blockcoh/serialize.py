@@ -5,8 +5,9 @@ finite JSON numbers (integers or floats; strings and booleans are rejected).
 A state file is {"dim": d, "matrix": [...]}.  A Kraus-set file is
 {"dim": d, "partition": [d_1, ...], "kraus": [matrix, ...]}.  A POVM file is
 {"dim": d, "effects": [matrix, ...]}; without "dim", each effect has the size
-of the first.  Partitions on the command line are comma-separated fields of
-ASCII digits, e.g. "2,3" or "2, 3", checked as a "partition" array is.
+of the first.  Integers on the command line (``parse_int``) are ASCII digits
+with the whitespace around them stripped; a partition is comma-separated
+fields of that form, e.g. "2,3" or "2, 3", checked as a "partition" array is.
 
 ``load_json`` reads these files one operator at a time: each matrix of a
 "kraus" or "effects" array is decoded as soon as it is parsed, so the
@@ -202,14 +203,27 @@ def load_json(text: str):
     return json.loads(text)
 
 
+def parse_int(text: str, minimum: int) -> int:
+    """The command line's one integer rule: ASCII digits, whitespace around them stripped.
+
+    int() alone would also read "1_0", "+7" and non-ASCII digits such as "٣".
+    """
+    field = text.strip()
+    if re.fullmatch("[0-9]+", field):
+        try:
+            value = int(field)
+        except ValueError as exc:  # past int()'s digit limit
+            raise SchemaError(str(exc)) from None
+        if value >= minimum:
+            return value
+    raise SchemaError(f"expected an integer >= {minimum} in ASCII digits, got {field!r}")
+
+
 def parse_partition(text: str) -> BlockPartition:
-    fields = [field.strip() for field in str(text).split(",")]
-    for field in fields:
-        if not re.fullmatch("[0-9]+", field):
-            raise SchemaError(f"bad partition {text!r}: {field!r} is not a block size")
+    """Comma-separated block sizes, each read by parse_int, then checked as a "partition" array."""
     try:
-        dims = [int(field) for field in fields]
-    except ValueError as exc:  # past int()'s digit limit
+        dims = [parse_int(field, 1) for field in str(text).split(",")]
+    except SchemaError as exc:
         raise SchemaError(f"bad partition {text!r}: {exc}") from None
     return partition_from_json(dims)
 

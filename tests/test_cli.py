@@ -31,12 +31,10 @@ def write_kraus(path, ks):
     return str(path)
 
 
-def parse_error_exit(capsys, *argv):
-    """The one JSON error line of a usage error, which exits 1 through SystemExit."""
-    with pytest.raises(SystemExit) as exit_info:
-        main(list(argv))
-    out, err = capsys.readouterr()
-    assert exit_info.value.code == 1 and out == "" and err.count("\n") == 1, argv
+def parse_error(capsys, *argv):
+    """The message of the one JSON parse-error line; main returns 1 and prints nothing."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.count("\n") == 1, argv
     message = json.loads(err)
     assert message["kind"] == "parse", argv
     return message["error"]
@@ -202,8 +200,7 @@ def test_verify_suites_pass(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "no-such-suite"])
+    assert "invalid choice: 'no-such-suite'" in parse_error(capsys, "verify", "no-such-suite")
 
 
 def test_cli_outputs_are_deterministic(tmp_path, capsys):
@@ -289,6 +286,11 @@ def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, monkeypatch)
         code, out, err = run(capsys, "classify", path)
         assert code == 1 and out == ""
         assert json.loads(err)["kind"] == "parse"
+    # --tol has the environment variable's converter, and it runs before the file is read
+    assert parse_error(capsys, "classify", path, "--tol", "abc") == (
+        "tolerance 'abc' is not a number")
+    assert parse_error(capsys, "classify", str(tmp_path / "missing.json"), "--tol=nan") == (
+        "tolerance must be finite and >= 0, got nan")
     # the flag wins over the environment, and commands without a tolerance ignore it
     code, out, _ = run(capsys, "classify", path, "--tol", "0")
     assert code == 0 and json.loads(out)["tolerance"] == 0.0
@@ -297,9 +299,9 @@ def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, monkeypatch)
 
 
 def test_verify_needs_at_least_one_trial(capsys):
-    # rejected where argparse converts the flag, so main exits through SystemExit
+    # rejected where argparse converts the flag
     for trials in ("0", "-3"):
-        parse_error_exit(capsys, "verify", "inclusion", "--trials", trials)
+        assert "--trials" in parse_error(capsys, "verify", "inclusion", "--trials", trials)
 
 
 def test_flags_only_on_commands_that_read_them(capsys):
@@ -310,9 +312,7 @@ def test_flags_only_on_commands_that_read_them(capsys):
         ["gen", "--class", "bio", "--tol", "1e-6"],
         ["classify", "k.json", "--seed", "1"],
     ):
-        with pytest.raises(SystemExit):
-            main(argv)
-    capsys.readouterr()
+        assert "unrecognized arguments" in parse_error(capsys, *argv)
 
 
 def test_sbio_violators_where_first_block_is_largest(capsys):
@@ -323,36 +323,28 @@ def test_sbio_violators_where_first_block_is_largest(capsys):
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
 
-def usage_error_argv(tmp_path):
+def test_exit_code_2_means_only_an_incomplete_channel(tmp_path, capsys):
+    # usage errors return 1 from main like every other JSON error line
     p = BlockPartition((2, 3))
     path = write_kraus(tmp_path / "proj.json", KrausSet(p, np.array(block_projectors(p))))
-    return (
+    for argv in (
         ["verify", "inclusion", "--trials", "abc"],
+        ["verify", "inclusion", "--trials", "0"],
         ["verify", "inclusion", "--partition", "2,x"],
+        ["gen", "--class", "bio", "--seed", "-1"],
         ["classify", path, "--tol", "-1e-3"],  # read as a flag, so --tol has no value
         ["verify", "no-such-suite"],
         ["no-such-command"],
-    )
-
-
-def test_unconvertible_flag_values_are_one_json_line(tmp_path, capsys):
-    for argv in usage_error_argv(tmp_path):
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code != 0
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert json.loads(err)["kind"] == "parse"
-
-
-def test_exit_code_2_means_only_an_incomplete_channel(tmp_path, capsys):
-    # usage errors exit 1 like every other JSON error line
-    for argv in usage_error_argv(tmp_path):
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 1, argv
-        assert json.loads(capsys.readouterr().err)["kind"] == "parse"
-    p = BlockPartition((2, 3))
+        ["gen", "--class", "bio", "--no-such-flag"],
+        # flags are written in full: an abbreviation is an unknown flag
+        ["gen", "--cl", "bio"],
+        ["gen", "--class", "bio", "--par", "1,1"],
+        ["gen", "--class", "bio", "--se", "3"],
+        ["verify", "inclusion", "--tri", "5"],
+        ["classify", path, "--to", "1e-6"],
+        ["measure", "--st", "s.json"],
+    ):
+        parse_error(capsys, *argv)
     path = write_kraus(tmp_path / "bad.json", KrausSet(p, np.array([np.eye(5), np.eye(5)])))
     code, out, err = run(capsys, "classify", path)
     assert code == 2 and err == "" and json.loads(out)["cptp"] is False
@@ -637,7 +629,7 @@ def test_bound_prints_totals_past_the_int_digit_limit(capsys):
 def test_command_line_partitions_follow_the_json_rule(capsys):
     for text in ("2,,3", "2,3,", ",2", "1_0", "", " ", "2,x", "+2", "-1,2", "2.0", "0,3",
                  "٣", "２,3", "2 3"):
-        parse_error_exit(capsys, "gen", "--class", "bio", f"--partition={text}")
+        parse_error(capsys, "gen", "--class", "bio", f"--partition={text}")
         with pytest.raises(serialize.SchemaError):
             serialize.parse_partition(text)
     # whitespace around a field is stripped
@@ -651,9 +643,33 @@ def test_negative_seed_is_a_parse_error(capsys):
     for argv in (["gen", "--class", "bio", "--seed", "-1"],
                  ["verify", "lemmas", "--seed", "-1"],
                  ["verify", "inclusion", "--seed=-7", "--trials", "2"]):
-        assert "--seed" in parse_error_exit(capsys, *argv)
+        assert "--seed" in parse_error(capsys, *argv)
     code, out, _ = run(capsys, "gen", "--class", "bio", "--seed", "0")
     assert code == 0 and json.loads(out)["partition"] == [2, 3]
+
+
+def test_seed_trials_and_partition_fields_share_one_integer_rule(capsys):
+    # none is ASCII digits, although int() reads the first four as 3, 10, 7 and 2
+    for text in ("٣", "1_0", "+7", "２", "1 0", "7.0"):
+        with pytest.raises(serialize.SchemaError):
+            serialize.parse_int(text, 0)
+        for argv in (["gen", "--class", "bio", "--seed", text],
+                     ["verify", "inclusion", "--trials", text],
+                     ["gen", "--class", "bio", "--partition", f"2,{text}"]):
+            assert "in ASCII digits" in parse_error(capsys, *argv), argv
+    # whitespace around the digits is stripped and leading zeros are read
+    assert serialize.parse_int(" 3 ", 0) == 3 and serialize.parse_int("007", 1) == 7
+    for argv, flag in ((["gen", "--class", "bio"], "--seed"),
+                       (["gen", "--class", "bio"], "--partition"),
+                       (["verify", "inclusion"], "--trials")):
+        for text, same in ((" 3 ", "3"), ("007", "7")):
+            got = run(capsys, *argv, flag, text)
+            assert got[0] == 0 and got == run(capsys, *argv, flag, same), (flag, text)
+    # each flag keeps its minimum: a seed may be 0, a trial count or a block size may not
+    zero = run(capsys, "gen", "--class", "bio", "--seed", "000")
+    assert zero[0] == 0 and zero == run(capsys, "gen", "--class", "bio", "--seed", "0")
+    assert ">= 1" in parse_error(capsys, "verify", "inclusion", "--trials", "000")
+    assert ">= 1" in parse_error(capsys, "gen", "--class", "bio", "--partition", " 0 ")
 
 
 def test_input_file_content_errors_are_parse_errors(tmp_path, capsys):

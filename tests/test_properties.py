@@ -1,7 +1,11 @@
 """Hypothesis properties of the sampler, the generators, the classifiers,
-dephasing, the JSON formats, the entropy gap and the dilation."""
+dephasing, the JSON formats, the entropy gap, the dilation and the command
+line's exit contract."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from blockcoh import serialize  # noqa: E402
+from blockcoh.cli import main  # noqa: E402
 from blockcoh.blockcore import BlockPartition, block_dephase  # noqa: E402
 from blockcoh.channels import (  # noqa: E402
     KrausSet,
@@ -302,3 +307,45 @@ def read_outcome(load, schema, text):
 def test_streaming_reader_equals_json_loads(doc):
     text, schema = doc
     assert read_outcome(serialize.load_json, schema, text) == read_outcome(json.loads, schema, text)
+
+
+# commands that write no file, their flags, two abbreviations, and values of
+# every kind the flags see: valid, non-ASCII or underscored digits, signed,
+# spaced, not a number, and a file that does not exist
+CLI_COMMANDS = ["gen", "bound", "classify", "dilate", "measure"]
+CLI_FLAGS = ["--class", "--partition", "--seed", "--tol", "--state", "--measure", "--se", "--par"]
+CLI_VALUES = ["bio", "2,3", "\u0663", "1_0", "+7", "-1", " 3 ", "nan", "abc",
+              str(Path(__file__).parent / "data" / "no-such-file.json")]
+
+
+@st.composite
+def cli_argv(draw):
+    """Any tokens in any order, or a command with flag-value pairs (most often a run)."""
+    tokens = st.sampled_from(CLI_COMMANDS + CLI_FLAGS + CLI_VALUES)
+    if draw(st.booleans()):
+        return draw(st.lists(tokens, max_size=6))
+    argv = [draw(st.sampled_from(CLI_COMMANDS))]
+    if draw(st.booleans()):
+        argv += ["--class", "bio"]
+    for flag, value in draw(st.lists(st.tuples(st.sampled_from(CLI_FLAGS),
+                                               st.sampled_from(CLI_VALUES)), max_size=3)):
+        argv += [flag, value]
+    return argv + draw(st.lists(tokens, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_main_returns_its_exit_code_and_reports_each_error_once(argv):
+    out, err = io.StringIO(), io.StringIO()
+    raised = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:  # main reports every error and returns
+            raised = exc
+    assert raised is None, f"main({argv!r}) raised {raised!r}"
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1, (argv, err.getvalue())
+        assert set(json.loads(lines[0])) == {"error", "kind"}
