@@ -323,7 +323,7 @@ def test_sbio_violators_where_first_block_is_largest(capsys):
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
 
-def test_exit_code_2_means_only_an_incomplete_channel(tmp_path, capsys):
+def test_unconvertible_flag_values_are_one_json_line(tmp_path, capsys):
     # usage errors return 1 from main like every other JSON error line
     p = BlockPartition((2, 3))
     path = write_kraus(tmp_path / "proj.json", KrausSet(p, np.array(block_projectors(p))))
@@ -345,6 +345,12 @@ def test_exit_code_2_means_only_an_incomplete_channel(tmp_path, capsys):
         ["measure", "--st", "s.json"],
     ):
         parse_error(capsys, *argv)
+
+
+def test_exit_code_2_means_only_an_incomplete_channel(tmp_path, capsys):
+    p = BlockPartition((2, 3))
+    path = write_kraus(tmp_path / "proj.json", KrausSet(p, np.array(block_projectors(p))))
+    parse_error(capsys, "classify", path, "--tol", "abc")  # a usage error exits 1, not 2
     path = write_kraus(tmp_path / "bad.json", KrausSet(p, np.array([np.eye(5), np.eye(5)])))
     code, out, err = run(capsys, "classify", path)
     assert code == 2 and err == "" and json.loads(out)["cptp"] is False
