@@ -26,10 +26,12 @@ field are read by one rule, serialize.parse_int: ASCII digits, with the
 whitespace around them stripped.  Flags are written in full; an abbreviation
 such as --se is a usage error.  The default classifier tolerance is
 blockcore.ZERO_TOL (1e-10) and can be overridden with classify --tol or the
-BLOCKCOH_TOL environment variable.
+BLOCKCOH_TOL environment variable, as ASCII text without "_".
 
 Every error, a usage error included, is one JSON line on stderr, and main()
-returns 1 for it; only -h leaves main through SystemExit.
+returns 1 for it; only -h leaves main through SystemExit.  Input that json
+cannot read (invalid, an integer past int()'s digit limit, or nested past the
+recursion limit) is a parse error.
 """
 
 from __future__ import annotations
@@ -50,9 +52,16 @@ DEFAULT_PARTITION = BlockPartition((2, 3))
 
 
 def _tolerance(value) -> float:
-    """The classifier tolerance: --tol, else BLOCKCOH_TOL, else ZERO_TOL."""
-    text = os.environ.get("BLOCKCOH_TOL", ZERO_TOL) if value is None else value
+    """The classifier tolerance: --tol, else BLOCKCOH_TOL, else ZERO_TOL.
+
+    The text must be ASCII without "_": float() alone would also read "٣" and "1_0".
+    """
+    text = os.environ.get("BLOCKCOH_TOL") if value is None else value
+    if text is None:
+        return ZERO_TOL
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
         tol = float(text)
     except ValueError:
         raise serialize.SchemaError(f"tolerance {text!r} is not a number") from None
@@ -64,10 +73,16 @@ def _tolerance(value) -> float:
 def _read_json(path: str):
     # the whole text, then one operator at a time (serialize.load_json)
     if path == "-":
-        return serialize.load_json(sys.stdin.read())
-    with open(path) as fh:
-        text = fh.read()
-    return serialize.load_json(text)
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
+    try:
+        return serialize.load_json(text)
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, and what json raises besides: a plain ValueError
+        # past int()'s digit limit, a RecursionError past the nesting limit
+        raise serialize.SchemaError(str(exc)) from None
 
 
 def cmd_classify(args) -> tuple[int, str]:
@@ -249,7 +264,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except (serialize.SchemaError, json.JSONDecodeError) as exc:
+    except serialize.SchemaError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "parse"}) + "\n")
         return 1
     except (ValueError, OSError, RuntimeError) as exc:

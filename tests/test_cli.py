@@ -4,6 +4,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +14,8 @@ import pytest
 
 from blockcoh import cli, counting, measures, serialize
 from blockcoh.blockcore import BlockPartition, block_dephase, block_projectors, is_block_incoherent
-from blockcoh.channels import KrausSet, classifier_report, gen_pattern_violating, gen_random
+from blockcoh.channels import (GEN_KINDS, KrausSet, classifier_report, gen_pattern_violating,
+                               gen_random)
 from blockcoh.cli import main
 from blockcoh.sampling import haar_unitary, random_density_matrix, random_povm
 from blockcoh.serialize import kraus_to_json, matrix_to_json, povm_to_json
@@ -38,6 +41,12 @@ def parse_error(capsys, *argv):
     message = json.loads(err)
     assert message["kind"] == "parse", argv
     return message["error"]
+
+
+def layouts(obj):
+    """One document as gen writes it (indent 2), compact, and tab-indented with CRLF line ends."""
+    return (serialize.dumps(obj), json.dumps(obj, separators=(",", ":")),
+            json.dumps(obj, indent="\t").replace("\n", "\r\n"))
 
 
 def test_classify_projectors(tmp_path, capsys):
@@ -117,13 +126,25 @@ def test_gen_classify_roundtrip(tmp_path, capsys):
         assert json.loads(out) == classifier_report(ks)
 
 
+def test_generated_sets_classify_as_their_class(tmp_path, capsys):
+    # read back from gen's indent-2 -o file, up to the 7 MB sets at (16,16,16);
+    # a pbio set is an SBIO member, and a Haar unitary is only checked complete
+    names = {"bio": "bio", "sbio": "sbio", "pbio": "sbio", "unitary": None}
+    path = str(tmp_path / "gen.json")
+    for dims in ("2,3", "1,15", "16,16,16"):
+        for kind, name in names.items():
+            argv = ["gen", "--class", kind, "--partition", dims, "--seed", "7", "-o", path]
+            assert run(capsys, *argv) == (0, "", "")
+            code, out, _ = run(capsys, "classify", path)
+            report = json.loads(out)
+            keys = ["cptp"] + ([f"{name}_structural", f"{name}_semantic"] if name else [])
+            assert code == 0 and all(report[k] is True for k in keys), (kind, dims, report)
+
+
 def test_classify_reads_stdin(tmp_path, capsys, monkeypatch):
     ks = gen_random("sbio", BlockPartition((2, 3)), 7)
     obj = kraus_to_json(ks)
-    # json's default layout, gen's indent=2, compact, and tab-indented with CRLF
-    layouts = (json.dumps(obj), serialize.dumps(obj), json.dumps(obj, separators=(",", ":")),
-               json.dumps(obj, indent="\t").replace("\n", "\r\n"))
-    for n, text in enumerate(layouts):
+    for n, text in enumerate((json.dumps(obj),) + layouts(obj)):  # json's default layout too
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, out, _ = run(capsys, "classify", "-")
         assert code == 0
@@ -149,7 +170,7 @@ def test_bound_cli_frozen(capsys):
     assert json.loads(out)["total"] == "480"
 
 
-def test_dilate_cli(tmp_path, capsys):
+def test_dilate_cli(tmp_path, capsys, monkeypatch):
     povm = Povm(random_povm(2, 3, 4))
     path = tmp_path / "povm.json"
     path.write_text(json.dumps(povm_to_json(povm)))
@@ -163,6 +184,15 @@ def test_dilate_cli(tmp_path, capsys):
     assert sorted(payload["permutation"]) == list(range(6))
     v = np.array([[complex(re, im) for re, im in row] for row in payload["V"]])
     assert np.max(np.abs(v.conj().T @ v - np.eye(6))) <= 1e-9
+    # -o writes the same bytes for every layout of the file, read from a file or stdin
+    got = tmp_path / "dilation.json"
+    for text in layouts(povm_to_json(povm)):
+        path.write_bytes(text.encode())
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        for source in (str(path), "-"):
+            got.unlink(missing_ok=True)
+            assert run(capsys, "dilate", source, "-o", str(got)) == (0, "", "")
+            assert got.read_text() == out, source
 
 
 def test_measure_cli(tmp_path, capsys):
@@ -180,6 +210,13 @@ def test_measure_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "measure", "--state", str(path), "--partition", "1,1",
                        "--measure", "l1")
     assert abs(json.loads(out)["value"] - 1.0) <= 1e-12
+    # one report for every layout of the state file
+    state = {"dim": 5, "matrix": matrix_to_json(random_density_matrix(5, 11))}
+    reports = set()
+    for text in layouts(state):
+        path.write_bytes(text.encode())
+        reports.add(run(capsys, "measure", "--state", str(path), "--partition", "2,3"))
+    assert len(reports) == 1 and reports.pop()[0] == 0
 
 
 def test_measure_cli_rejects_bad_state(tmp_path, capsys):
@@ -263,7 +300,14 @@ def test_classify_rejects_non_finite_entries(tmp_path, capsys):
         assert message["kind"] == "parse" and "not finite" in message["error"]
 
 
-def test_runtime_error_is_one_json_line(capsys, monkeypatch):
+def test_runtime_error_is_one_json_line(tmp_path, capsys, monkeypatch):
+    # -o onto a directory: the rename fails, and the temp file beside it is removed
+    (tmp_path / "out").mkdir()
+    code, out, err = run(capsys, "gen", "--class", "bio", "-o", str(tmp_path / "out"))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["kind"] == "runtime"
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
     def fail(*args):
         raise RuntimeError("could not generate")
 
@@ -277,15 +321,19 @@ def test_runtime_error_is_one_json_line(capsys, monkeypatch):
 def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, monkeypatch):
     p = BlockPartition((2, 3))
     path = write_kraus(tmp_path / "proj.json", KrausSet(p, np.array(block_projectors(p))))
-    for flag in ("nan", "inf", "-1e-3"):
-        code, out, err = run(capsys, "classify", path, f"--tol={flag}")
-        assert code == 1 and out == ""
-        assert json.loads(err)["kind"] == "parse"
-    for env in ("nan", "abc", "-1"):
+    # ASCII text only, without "_": float() alone reads these as 3.0, 0.5 and 10.0
+    not_numbers = ("abc", "٣", "٠.٥", "1_0")
+
+    def message(text):
+        if text in not_numbers:
+            return f"tolerance {text!r} is not a number"
+        return f"tolerance must be finite and >= 0, got {text}"
+
+    for flag in ("nan", "inf", "-1e-3") + not_numbers[1:]:
+        assert parse_error(capsys, "classify", path, f"--tol={flag}") == message(flag)
+    for env in ("nan", "-1") + not_numbers:
         monkeypatch.setenv("BLOCKCOH_TOL", env)
-        code, out, err = run(capsys, "classify", path)
-        assert code == 1 and out == ""
-        assert json.loads(err)["kind"] == "parse"
+        assert parse_error(capsys, "classify", path) == message(env)
     # --tol has the environment variable's converter, and it runs before the file is read
     assert parse_error(capsys, "classify", path, "--tol", "abc") == (
         "tolerance 'abc' is not a number")
@@ -330,9 +378,12 @@ def test_unconvertible_flag_values_are_one_json_line(tmp_path, capsys):
     for argv in (
         ["verify", "inclusion", "--trials", "abc"],
         ["verify", "inclusion", "--trials", "0"],
+        ["verify", "lemmas", "--trials", "0"],  # rejected although lemmas runs no trials
         ["verify", "inclusion", "--partition", "2,x"],
         ["gen", "--class", "bio", "--seed", "-1"],
         ["classify", path, "--tol", "-1e-3"],  # read as a flag, so --tol has no value
+        ["classify", str(tmp_path / "missing.json"), "--tol", "abc"],
+        ["gen", "--seed", "3"],  # --class is required
         ["verify", "no-such-suite"],
         ["no-such-command"],
         ["gen", "--class", "bio", "--no-such-flag"],
@@ -385,7 +436,7 @@ def test_malformed_dim_is_a_parse_error(tmp_path, capsys):
             assert message["kind"] == "parse" and '"dim"' in message["error"], (name, dim)
 
 
-def test_matrix_entries_must_be_numbers_in_float_range(tmp_path, capsys):
+def test_matrix_entries_must_be_numbers_in_float_range(tmp_path, capsys, monkeypatch):
     huge = "1" + "0" * 400  # a 401-digit JSON integer, past the float range
     p = BlockPartition((1, 1))
     files = (
@@ -402,13 +453,22 @@ def test_matrix_entries_must_be_numbers_in_float_range(tmp_path, capsys):
             obj = json.loads(json.dumps(obj))
             (obj[key] if key == "matrix" else obj[key][0])[1][0] = entry
             cases.append((json.dumps(obj).replace('"HUGE"', huge), argv, f"entry (1, 0) {why}"))
+    # JSON that json cannot read: an integer past int()'s digit limit, and nesting
+    # past the recursion limit
+    for (_, _, argv), text in zip(files, ('{"dim": 1, "matrix": [[[%s, 0]]]}',
+                                          '{"dim": 2, "partition": [%s, 1], "kraus": []}',
+                                          '{"effects": [[[[%s, 0]]]]}')):
+        cases.append((text % ("9" * 5000), argv, "Exceeds the limit (4300 digits)"))
+        cases.append(("[" * 200000 + "]" * 200000, argv, "maximum recursion depth exceeded"))
+    path = tmp_path / "in.json"
     for text, argv, why in cases:
-        path = tmp_path / "in.json"
         path.write_text(text)
-        code, out, err = run(capsys, *argv, str(path))
-        assert code == 1 and out == "" and err.count("\n") == 1, (argv, text)
-        message = json.loads(err)
-        assert message["kind"] == "parse" and why in message["error"], (argv, message)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        for source in (str(path), "-"):
+            code, out, err = run(capsys, *argv, source)
+            assert code == 1 and out == "" and err.count("\n") == 1, (argv, text[:80])
+            message = json.loads(err)
+            assert message["kind"] == "parse" and why in message["error"], (argv, message)
 
 
 GOLDEN = Path(__file__).parent / "data" / "verify_defaults.txt"
@@ -436,17 +496,58 @@ def test_verify_defaults_match_golden_bytes(capsys, tmp_path, monkeypatch):
         assert out == sections[f"blockcoh verify {suite}"], suite
 
 
+def test_command_line_as_processes(tmp_path, capsys):
+    # only what a process shows: bytes under another hash seed, a real pipe, the
+    # exit status and argv as the OS delivers them; every other case calls main in-process.
+    # The children start in tmp_path, so PYTHONPATH names the package's directory in full.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def python(*args, hashseed="0", **kwargs):
+        return subprocess.run([sys.executable, *args], cwd=tmp_path, capture_output=True,
+                              env=dict(env, PYTHONHASHSEED=hashseed), **kwargs)
+
+    def blockcoh(*argv, **kwargs):
+        return python("-m", "blockcoh.cli", *argv, **kwargs)
+
+    # gen prints the same bytes for every class in two interpreters and in this one
+    gens = [["gen", "--class", kind, "--partition", dims, "--seed", "7"]
+            for kind in GEN_KINDS for dims in ("2,3", "1,15")]
+    want = "".join(run(capsys, *argv)[1] for argv in gens)
+    script = f"from blockcoh.cli import main\nfor argv in {gens!r}:\n    main(argv)\n"
+    for hashseed in ("0", "1"):
+        child = python("-c", script, hashseed=hashseed)
+        assert (child.returncode, child.stdout.decode(), child.stderr) == (0, want, b""), hashseed
+
+    gen = subprocess.Popen([sys.executable, "-m", "blockcoh.cli", "gen", "--class", "sbio",
+                            "--seed", "7"], cwd=tmp_path, env=env, stdout=subprocess.PIPE)
+    classify = blockcoh("classify", "-", stdin=gen.stdout)
+    gen.stdout.close()
+    assert (gen.wait(), classify.returncode) == (0, 0)
+    assert classify.stdout.decode() == serialize.dumps(
+        classifier_report(gen_random("sbio", BlockPartition((2, 3)), 7)))
+
+    child = blockcoh("gen", "--class", "bio", "--seed", "٣")
+    assert (child.returncode, child.stdout, child.stderr.count(b"\n")) == (1, b"", 1)
+    assert json.loads(child.stderr)["kind"] == "parse"
+    child = blockcoh("-h")
+    assert child.returncode == 0 and child.stdout.startswith(b"usage: blockcoh")
+    child = blockcoh("verify", "lemmas")
+    assert child.returncode == 0
+    assert child.stdout.decode() == golden_sections()["blockcoh verify lemmas"]
+
+
 def test_partition_must_hold_json_integers(tmp_path, capsys):
     p = BlockPartition((1, 1))
     kraus = kraus_to_json(KrausSet(p, np.array(block_projectors(p))))
     del kraus["dim"]
-    for partition in ([1.7, True], [1.0, 1.0], [True, True], ["1", "1"], [1, None], "1,1"):
-        path = tmp_path / "k.json"
+    rows = [(partition, "partition must be an array of positive integers")
+            for partition in ([1.7, True], [1.0, 1.0], [True, True], ["1", "1"], [1, None], "1,1")]
+    rows += [([], "bad partition []: partition needs at least one block"),
+             ([0], "bad partition [0]: block sizes must be positive integers, got (0,)")]
+    path = tmp_path / "k.json"
+    for partition, why in rows:
         path.write_text(json.dumps(dict(kraus, partition=partition)))
-        code, out, err = run(capsys, "classify", str(path))
-        assert code == 1 and out == ""
-        assert err.count("\n") == 1
-        assert json.loads(err)["kind"] == "parse"
+        assert why in parse_error(capsys, "classify", str(path)), partition
     path.write_text(json.dumps(dict(kraus, partition=[1, 1])))
     code, out, _ = run(capsys, "classify", str(path))
     assert code == 0 and json.loads(out)["sbio_semantic"]
@@ -648,7 +749,8 @@ def test_command_line_partitions_follow_the_json_rule(capsys):
 def test_negative_seed_is_a_parse_error(capsys):
     for argv in (["gen", "--class", "bio", "--seed", "-1"],
                  ["verify", "lemmas", "--seed", "-1"],
-                 ["verify", "inclusion", "--seed=-7", "--trials", "2"]):
+                 ["verify", "inclusion", "--seed=-7", "--trials", "2"],
+                 ["gen", "--class", "bio", "--seed", "9" * 5000]):  # past int()'s digit limit
         assert "--seed" in parse_error(capsys, *argv)
     code, out, _ = run(capsys, "gen", "--class", "bio", "--seed", "0")
     assert code == 0 and json.loads(out)["partition"] == [2, 3]
@@ -682,20 +784,27 @@ def test_input_file_content_errors_are_parse_errors(tmp_path, capsys):
     zero = {"dim": 2, "matrix": matrix_to_json(np.zeros((2, 2)))}
     skew = {"dim": 2, "matrix": matrix_to_json(np.array([[0.5, 1.0], [0.0, 0.5]]))}
     negative = {"dim": 2, "matrix": matrix_to_json(np.diag([1.5, -0.5]))}
-    for state, why in ((zero, "trace differs from 1"), (skew, "not hermitian"),
-                       (negative, "not positive semidefinite")):
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(state))
-        code, out, err = run(capsys, "measure", "--state", str(path), "--partition", "1,1")
-        assert code == 1 and out == "" and err.count("\n") == 1
-        message = json.loads(err)
-        assert message["kind"] == "parse" and why in message["error"], message
+    mixed = matrix_to_json(np.eye(2) / 2)
     p = BlockPartition((1, 1))
-    path = write_kraus(tmp_path / "k.json", KrausSet(p, np.array(block_projectors(p))))
-    code, out, err = run(capsys, "classify", path, "--partition", "1,1,1")
-    assert code == 1 and out == ""
-    message = json.loads(err)
-    assert message["kind"] == "parse" and "must be 3x3" in message["error"], message
+    kraus = kraus_to_json(KrausSet(p, np.array(block_projectors(p))))
+    measure = ["measure", "--partition", "1,1", "--state"]
+    for argv, obj, why in (
+        (measure, zero, "trace differs from 1"),
+        (measure, skew, "not hermitian"),
+        (measure, negative, "not positive semidefinite"),
+        (measure, [mixed], 'state file must be an object with "dim" and "matrix"'),
+        (measure, {"dim": 3, "matrix": mixed}, "state matrix is 2x2, expected 3x3"),
+        (["measure", "--partition", "2,3", "--state"], {"dim": 2, "matrix": mixed},
+         "state dimension 2 does not match partition (2,3)"),
+        (["classify", "--partition", "1,1,1"], kraus, "must be 3x3"),
+        (["classify"], dict(kraus, dim=4, partition=[2, 3]),
+         "dim 4 does not match partition total 5"),
+        (["dilate"], {"effects": [[[[1, 0], [0, 0]]]]},
+         "effects must be a nonempty list of square matrices"),
+    ):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        assert why in parse_error(capsys, *argv, str(path)), argv
 
 
 def test_povm_effects_without_dim_take_the_first_effects_size(tmp_path, capsys):
