@@ -29,9 +29,10 @@ blockcore.ZERO_TOL (1e-10) and can be overridden with classify --tol or the
 BLOCKCOH_TOL environment variable, as ASCII text without "_".
 
 Every error, a usage error included, is one JSON line on stderr, and main()
-returns 1 for it; only -h leaves main through SystemExit.  Input that json
-cannot read (invalid, an integer past int()'s digit limit, or nested past the
-recursion limit) is a parse error.
+returns 1 for it; only -h leaves main through SystemExit.  Input files and
+stdin are read as UTF-8.  Input that is not UTF-8, or that json cannot read
+(invalid, an integer past int()'s digit limit, or nested past the recursion
+limit), is a parse error, from a file and from stdin alike.
 """
 
 from __future__ import annotations
@@ -71,17 +72,20 @@ def _tolerance(value) -> float:
 
 
 def _read_json(path: str):
-    # the whole text, then one operator at a time (serialize.load_json)
+    # the whole file as bytes, then one operator at a time (serialize.load_json)
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
+        text = data.decode("utf-8")
+        del data  # only the text stays alive while it is parsed
         return serialize.load_json(text)
     except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, and what json raises besides: a plain ValueError
-        # past int()'s digit limit, a RecursionError past the nesting limit
+        # a UnicodeDecodeError, a JSONDecodeError, and what json raises
+        # besides: a plain ValueError past int()'s digit limit, a
+        # RecursionError past the nesting limit
         raise serialize.SchemaError(str(exc)) from None
 
 

@@ -336,7 +336,11 @@ def write_text_atomic(path: str, text: str):
             except FileNotFoundError:
                 pass
             fh.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            # the temp file's random name would make the message differ per run
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

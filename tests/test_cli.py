@@ -43,6 +43,11 @@ def parse_error(capsys, *argv):
     return message["error"]
 
 
+def stdin_of(data):
+    """A stand-in for sys.stdin: text over a byte buffer, read from its start."""
+    return io.TextIOWrapper(io.BytesIO(data if isinstance(data, bytes) else data.encode()))
+
+
 def layouts(obj):
     """One document as gen writes it (indent 2), compact, and tab-indented with CRLF line ends."""
     return (serialize.dumps(obj), json.dumps(obj, separators=(",", ":")),
@@ -145,7 +150,7 @@ def test_classify_reads_stdin(tmp_path, capsys, monkeypatch):
     ks = gen_random("sbio", BlockPartition((2, 3)), 7)
     obj = kraus_to_json(ks)
     for n, text in enumerate((json.dumps(obj),) + layouts(obj)):  # json's default layout too
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         code, out, _ = run(capsys, "classify", "-")
         assert code == 0
         assert json.loads(out)["sbio_structural"] is True
@@ -188,7 +193,7 @@ def test_dilate_cli(tmp_path, capsys, monkeypatch):
     got = tmp_path / "dilation.json"
     for text in layouts(povm_to_json(povm)):
         path.write_bytes(text.encode())
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         for source in (str(path), "-"):
             got.unlink(missing_ok=True)
             assert run(capsys, "dilate", source, "-o", str(got)) == (0, "", "")
@@ -307,6 +312,10 @@ def test_runtime_error_is_one_json_line(tmp_path, capsys, monkeypatch):
     assert code == 1 and out == "" and err.count("\n") == 1
     assert json.loads(err)["kind"] == "runtime"
     assert [path.name for path in tmp_path.iterdir()] == ["out"]
+    # the error names the target, not the temp file, so it is the same on every run
+    message = json.loads(err)["error"]
+    assert str(tmp_path / "out") in message and ".blockcoh-" not in message, message
+    assert run(capsys, "gen", "--class", "bio", "-o", str(tmp_path / "out")) == (code, out, err)
 
     def fail(*args):
         raise RuntimeError("could not generate")
@@ -463,7 +472,7 @@ def test_matrix_entries_must_be_numbers_in_float_range(tmp_path, capsys, monkeyp
     path = tmp_path / "in.json"
     for text, argv, why in cases:
         path.write_text(text)
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         for source in (str(path), "-"):
             code, out, err = run(capsys, *argv, source)
             assert code == 1 and out == "" and err.count("\n") == 1, (argv, text[:80])
@@ -596,7 +605,7 @@ def test_decoding_a_big_kraus_file_holds_one_operator_tree_at_a_time(monkeypatch
     # the command line reads the whole text first, so a copy of it is traced too
     for read, bound in ((lambda: cli._read_json("-"), len(text) + 8e6),
                         (lambda: serialize.load_json(text), 8e6)):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         tracemalloc.start()
         try:
             ks = serialize.kraus_from_json(read())
@@ -780,7 +789,7 @@ def test_seed_trials_and_partition_fields_share_one_integer_rule(capsys):
     assert ">= 1" in parse_error(capsys, "gen", "--class", "bio", "--partition", " 0 ")
 
 
-def test_input_file_content_errors_are_parse_errors(tmp_path, capsys):
+def test_input_file_content_errors_are_parse_errors(tmp_path, capsys, monkeypatch):
     zero = {"dim": 2, "matrix": matrix_to_json(np.zeros((2, 2)))}
     skew = {"dim": 2, "matrix": matrix_to_json(np.array([[0.5, 1.0], [0.0, 0.5]]))}
     negative = {"dim": 2, "matrix": matrix_to_json(np.diag([1.5, -0.5]))}
@@ -805,6 +814,21 @@ def test_input_file_content_errors_are_parse_errors(tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(obj))
         assert why in parse_error(capsys, *argv, str(path)), argv
+    # input is UTF-8: other bytes are one parse error, the same from a file and from stdin
+    state = json.dumps({"dim": 1, "matrix": [[[1, 0]]]}).encode()
+    for argv, data, why in (
+        (["measure", "--partition", "1", "--state"], state + b"\xff",
+         "'utf-8' codec can't decode byte 0xff in position 32: invalid start byte"),
+        (["classify"], b'{"dim": 2, "partition": [1, 1], "kraus": [\xc3]}',
+         "'utf-8' codec can't decode byte 0xc3 in position 42: invalid continuation byte"),
+        (["dilate"], b"\xfe\xff" + json.dumps(povm_to_json(Povm(np.eye(1)[None]))).encode(),
+         "'utf-8' codec can't decode byte 0xfe in position 0: invalid start byte"),
+    ):
+        path = tmp_path / "in.json"
+        path.write_bytes(data)
+        monkeypatch.setattr("sys.stdin", stdin_of(data))
+        for source in (str(path), "-"):
+            assert parse_error(capsys, *argv, source) == why, (argv, source)
 
 
 def test_povm_effects_without_dim_take_the_first_effects_size(tmp_path, capsys):

@@ -149,17 +149,18 @@ def skip_forcing_povms():
     # exact, so every candidate norm is either 0 or far above 1e-8
     rng = np.random.default_rng(5)
     yield trine_povm()
-    for d in (1, 2, 3, 5, 8):
-        for n in (1, 2, 3, 4, 7):
-            weights = rng.dirichlet(np.ones(n), size=d).T
-            yield Povm(np.array([np.diag(w).astype(complex) for w in weights]))
-            labels = rng.integers(n, size=d)  # coordinate projectors
-            yield Povm(np.array([np.diag(labels == i).astype(complex) for i in range(n)]))
-            support = rng.random((n, d)) < 0.5  # rank-deficient effects
-            support[labels, np.arange(d)] = True
-            weights = weights * support
-            weights /= weights.sum(axis=0)
-            yield Povm(np.array([np.diag(w).astype(complex) for w in weights]))
+    # (16, 8) has dn > 2 * GS_PANEL, so its skips land after completed panels
+    sizes = [(d, n) for d in (1, 2, 3, 5, 8) for n in (1, 2, 3, 4, 7)] + [(16, 8)]
+    for d, n in sizes:
+        weights = rng.dirichlet(np.ones(n), size=d).T
+        yield Povm(np.array([np.diag(w).astype(complex) for w in weights]))
+        labels = rng.integers(n, size=d)  # coordinate projectors
+        yield Povm(np.array([np.diag(labels == i).astype(complex) for i in range(n)]))
+        support = rng.random((n, d)) < 0.5  # rank-deficient effects
+        support[labels, np.arange(d)] = True
+        weights = weights * support
+        weights /= weights.sum(axis=0)
+        yield Povm(np.array([np.diag(w).astype(complex) for w in weights]))
 
 
 def test_measurement_operators_match_per_effect_loop():
@@ -171,7 +172,7 @@ def test_measurement_operators_match_per_effect_loop():
 
 
 def test_dilate_matches_loop_reference():
-    ladder = [(1, 1), (2, 3), (4, 4), (8, 8), (4, 16), (16, 4), (16, 16)]
+    ladder = [(1, 1), (2, 3), (4, 4), (8, 8), (4, 16), (16, 4), (16, 16), (24, 24)]
     povms = [Povm(random_povm(d, n, 100 * d + n)) for d, n in ladder]
     rng = np.random.default_rng(8)
     povms += [Povm(random_povm(int(d), int(n), rng)) for d, n in rng.integers(1, 9, (200, 2))]
@@ -196,17 +197,19 @@ def test_rounding_decided_candidates_keep_v_unitary():
     # moves a column by O(1)), and V must stay unitary.
     rng = np.random.default_rng(0)
     rounding_decided = 0
-    for d in range(2, 9):
-        for n in range(2, d + 1):
-            for _ in range(4):
-                povm = projective_povm(d, n, int(rng.integers(1 << 30)))
-                ext = dilate(povm)
-                v = ext.global_unitary
-                gap = np.max(np.abs(v - reference_dilate(povm)))
-                assert gap <= 1e-6, (d, n, gap)
-                rounding_decided += gap > 1e-12
-                assert np.max(np.abs(v.conj().T @ v - np.eye(d * n))) <= 1e-12
-                assert verify_dilation(povm, ext, trials=5, seed=0) <= 1e-10
+    sizes = [(d, n) for d in range(2, 9) for n in range(2, d + 1) for _ in range(4)]
+    # dn > GS_PANEL: the first skip set by rounding comes after a completed
+    # panel, so the completion changes its projection basis midway
+    sizes += [(11, 6), (12, 7)] * 4
+    for d, n in sizes:
+        povm = projective_povm(d, n, int(rng.integers(1 << 30)))
+        ext = dilate(povm)
+        v = ext.global_unitary
+        gap = np.max(np.abs(v - reference_dilate(povm)))
+        assert gap <= 1e-6, (d, n, gap)
+        rounding_decided += gap > 1e-12
+        assert np.max(np.abs(v.conj().T @ v - np.eye(d * n))) <= 1e-12
+        assert verify_dilation(povm, ext, trials=5, seed=0) <= 1e-10
     assert rounding_decided > 0
 
 
