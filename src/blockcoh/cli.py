@@ -28,11 +28,12 @@ such as --se is a usage error.  The default classifier tolerance is
 blockcore.ZERO_TOL (1e-10) and can be overridden with classify --tol or the
 BLOCKCOH_TOL environment variable, as ASCII text without "_".
 
-Every error, a usage error included, is one JSON line on stderr, and main()
-returns 1 for it; only -h leaves main through SystemExit.  Input files and
-stdin are read as UTF-8.  Input that is not UTF-8, or that json cannot read
-(invalid, an integer past int()'s digit limit, or nested past the recursion
-limit), is a parse error, from a file and from stdin alike.
+Every error, a usage error and a failed allocation included, is one JSON
+line on stderr, and main() returns 1 for it; only -h leaves main through
+SystemExit.  Input files and stdin are read as UTF-8.  Input that is not
+UTF-8, or that json cannot read (invalid, an integer past int()'s digit
+limit, or nested past the recursion limit), is a parse error, from a file
+and from stdin alike.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
     except serialize.SchemaError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "parse"}) + "\n")
         return 1
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "runtime"}) + "\n")
         return 1
 

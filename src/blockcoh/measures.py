@@ -155,10 +155,13 @@ def _probe(probe: str, measure, partition, channel, trials: int, seed: int):
     """(worst gain, offending state) of the named probe.
 
     The monotonicity probes first require a channel that is free branch by
-    branch; the convexity probe takes no channel.
+    branch; the convexity probe takes no channel.  An empty sample is
+    rejected, since it would report a violation of 0 without a single trial.
     """
     if probe not in PROBES:
         raise ValueError(f"unknown probe {probe!r}, expected one of {PROBES}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if probe == "convexity":
         return _convexity_scan(measure, partition, trials, seed)
     if not is_bio_semantic(channel):

@@ -161,8 +161,13 @@ def dilate(povm: Povm) -> NaimarkExtension:
     instead of O((dn)^3).  A skip whose |R_jj| exceeds ``GS_EXACT_SKIP``
     (1e-12) leaves e_t outside the accepted span by rounding, so the
     identity no longer holds; from then on the projection basis is every
-    vector accepted so far.  A single panel at t = 0 computes what the
-    all-vector projection computes, bit for bit.
+    vector accepted so far, copied out of V.  A single panel at t = 0
+    computes what the all-vector projection computes, bit for bit.
+
+    V is the only store of the completion: each accepted vector is written
+    straight into its column, with no separate basis and no final copy.  On
+    random POVMs the traced peak of ``dilate`` is about 1.6, 1.25 and 1.16
+    times V's 16 (dn)^2 bytes at (d, n) = (16, 16), (24, 24) and (32, 32).
 
     So V equals the one-candidate-at-a-time completion up to rounding, with
     the same accepted candidates wherever no projected norm lies within
@@ -176,14 +181,17 @@ def dilate(povm: Povm) -> NaimarkExtension:
     big = d * n
     anc = 0
 
-    # basis[k] is the k-th accepted basis vector: the d fixed columns (row
-    # x*n + i of column y holds M_i[x, y]), then the completion in order
-    basis = np.zeros((big, big), dtype=complex)
-    basis[:d] = mops.transpose(1, 0, 2).reshape(big, d).T
+    # V is the only store: row x*n + i of fixed column y*n + anc holds
+    # M_i[x, y], and accepted vector k is column order[k], the fixed columns
+    # first and then the free columns x*n + i, i != anc, in increasing order
+    v = np.zeros((big, big), dtype=complex)
+    v[:, anc::n] = mops.transpose(1, 0, 2).reshape(big, d)
+    order = np.argsort(np.arange(big) % n != anc, kind="stable")
+    vt = v.T  # row k of vt[order] is accepted vector k
     # tail: orthonormal rows over the coordinates t.. spanning range(W[t:]),
     # None once a skip was set by rounding; acc is the projection basis in
     # the coordinates lo.., cut to the panel and the span below it by frame
-    tail = basis[:d]
+    tail = vt[order[:d]]
     k, t = d, 0
     while k < big:
         width = min(GS_PANEL, big - k, big - t)
@@ -191,7 +199,7 @@ def dilate(povm: Povm) -> NaimarkExtension:
             raise RuntimeError("orthonormal completion of the dilation failed")
         frame = None
         if tail is None:
-            acc, lo = basis[:k], 0
+            acc, lo = vt[order[:k]], 0
         else:
             acc, lo = tail, t
             if width < big - k:
@@ -216,11 +224,12 @@ def dilate(povm: Povm) -> NaimarkExtension:
             # conj(L), and conj(L)^-1 q^T holds the columns of q L^-dag as rows
             chol = np.linalg.cholesky(q.T @ q.conj())
             rows = np.linalg.inv(chol) @ q.T
+            dest = order[k:k + good]
             if frame is None:
-                basis[k:k + good, lo:] = rows
+                vt[dest, lo:] = rows
             else:
-                basis[k:k + good, t:t + width] = rows[:, :width]
-                basis[k:k + good, t + width:] = rows[:, width:] @ frame.T
+                vt[dest, t:t + width] = rows[:, :width]
+                vt[dest, t + width:] = rows[:, width:] @ frame.T
         if tail is not None and good < width:
             if abs(diag[good]) <= GS_EXACT_SKIP:
                 # e_t+good lies in the span, so range(W[t':]) loses one dimension
@@ -233,10 +242,6 @@ def dilate(povm: Povm) -> NaimarkExtension:
         k += good
         t += good + (good < width)
 
-    v = np.empty((big, big), dtype=complex)
-    v[:, anc::n] = basis[:d].T
-    # with anc = 0 the free columns are x*n + i for i >= 1, in order
-    v.reshape(big, d, n)[:, :, 1:] = basis[d:].T.reshape(big, d, n - 1)
     return NaimarkExtension(system_dim=d, outcomes=n, global_unitary=v, ancilla_state_index=anc)
 
 

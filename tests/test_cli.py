@@ -317,14 +317,18 @@ def test_runtime_error_is_one_json_line(tmp_path, capsys, monkeypatch):
     assert str(tmp_path / "out") in message and ".blockcoh-" not in message, message
     assert run(capsys, "gen", "--class", "bio", "-o", str(tmp_path / "out")) == (code, out, err)
 
-    def fail(*args):
-        raise RuntimeError("could not generate")
+    # an allocation too large for the machine is raised, not made: how a
+    # real one fails depends on the machine's memory overcommit
+    for exc in (RuntimeError("could not generate"),
+                MemoryError("Unable to allocate 116. TiB for an array")):
+        def fail(*args):
+            raise exc
 
-    monkeypatch.setattr("blockcoh.channels.gen_random", fail)
-    code, out, err = run(capsys, "gen", "--class", "bio")
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    assert json.loads(err) == {"error": "could not generate", "kind": "runtime"}
+        monkeypatch.setattr("blockcoh.channels.gen_random", fail)
+        code, out, err = run(capsys, "gen", "--class", "bio")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": str(exc), "kind": "runtime"}
 
 
 def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, monkeypatch):

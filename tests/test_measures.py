@@ -166,6 +166,24 @@ def test_probe_report_schema():
         probe_report("nonsense", rel_entropy_block_coherence, P23, ch)
 
 
+def test_probes_reject_an_empty_sample():
+    ch = gen_random("bio", P23, 0)
+    m = rel_entropy_block_coherence
+    calls = [
+        lambda trials: monotonicity_probe(m, P23, ch, trials=trials),
+        lambda trials: strong_monotonicity_probe(m, P23, ch, trials=trials),
+        lambda trials: convexity_probe(m, P23, trials=trials),
+    ] + [
+        lambda trials, name=name: probe_report(name, m, P23, ch, trials=trials)["worst_violation"]
+        for name in measures.PROBES
+    ]
+    for call in calls:
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+                call(trials)
+        assert call(1) >= 0.0
+
+
 def test_probe_report_captures_counterexamples():
     # a deliberately anti-monotone functional makes the dephasing channel gain
     def negated(partition, rho):

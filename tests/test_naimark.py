@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,20 @@ def test_rounding_decided_candidates_keep_v_unitary():
         assert np.max(np.abs(v.conj().T @ v - np.eye(d * n))) <= 1e-12
         assert verify_dilation(povm, ext, trials=5, seed=0) <= 1e-10
     assert rounding_decided > 0
+
+
+def test_dilate_holds_one_global_array():
+    # V is the only (dn x dn) array; a second one would lift the peak to
+    # about twice V's 16 (dn)^2 bytes
+    for d, n in ((16, 16), (24, 24)):
+        povm = Povm(random_povm(d, n, 100 * d + n))
+        tracemalloc.start()
+        try:
+            dilate(povm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * 16 * (d * n) ** 2, (d, n, peak)
 
 
 def test_failed_completion_raises(monkeypatch):

@@ -1,6 +1,6 @@
-"""Hypothesis properties of the sampler, the generators, the classifiers,
-dephasing, the JSON formats, the entropy gap, the dilation and the command
-line's exit contract."""
+"""Hypothesis properties of the sampler, the generators, the classifiers
+(and which verdicts survive a Kraus remix), dephasing, the JSON formats,
+the entropy gap, the dilation and the command line's exit contract."""
 
 import contextlib
 import io
@@ -112,6 +112,26 @@ def test_verdicts_invariant_under_block_unitaries_and_phase(p, kind, seed, phase
     u, w = block_unitary(p, rng), block_unitary(p, rng)
     moved = KrausSet(p, np.exp(1j * phase) * (u @ ks.operators @ w))
     assert classifier_report(moved) == classifier_report(ks)
+
+
+def choi(ks):
+    # sum_n vec(K_n) vec(K_n)^dag: the same for every Kraus set of the channel
+    vecs = ks.operators.reshape(ks.n_operators, -1)
+    return vecs.T @ vecs.conj()
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.sampled_from([(2, 3), (1, 1, 1), (2, 2), (1, 2, 2)]),
+       kind=st.sampled_from(["bio", "sbio", "pbio"]), seed=SEEDS)
+def test_channel_keys_survive_a_kraus_remix(dims, kind, seed):
+    # K'_m = sum_n U_mn K_n is another Kraus set of the same channel; the
+    # branch-level keys judge the set as given and may change, these may not
+    ks = gen_random(kind, BlockPartition(dims), seed)
+    u = haar_unitary(ks.n_operators, seed)
+    remixed = KrausSet(ks.partition, np.tensordot(u, ks.operators, axes=1))
+    assert np.max(np.abs(choi(remixed) - choi(ks))) <= 1e-12
+    before, after = classifier_report(ks), classifier_report(remixed)
+    assert (after["cptp"], after["mbio"]) == (before["cptp"], before["mbio"]) == (True, True)
 
 
 @settings(max_examples=40, deadline=None)
