@@ -31,6 +31,7 @@ generators produce members of each class by construction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,10 +130,18 @@ def _row_block_maxima(ops: np.ndarray, partition: BlockPartition) -> np.ndarray:
     return np.maximum.reduceat(np.abs(ops), partition.offsets, axis=1)
 
 
-def _nonzero_blocks(ops: np.ndarray, partition: BlockPartition, tol: float) -> np.ndarray:
-    """Boolean (n, k, k) block pattern of each operator against its own scale."""
-    peaks = np.maximum.reduceat(_row_block_maxima(ops, partition), partition.offsets, axis=2)
+def _nonzero_blocks(amax: np.ndarray, partition: BlockPartition, tol: float) -> np.ndarray:
+    """Boolean (n, k, k) block pattern of each operator against its own scale.
+
+    ``amax`` is the operators' _row_block_maxima; tol 0 gives the exact support.
+    """
+    peaks = np.maximum.reduceat(amax, partition.offsets, axis=2)
     return peaks > zero_threshold(peaks.max(axis=(1, 2), keepdims=True), tol)
+
+
+def _pattern(ops: np.ndarray, partition: BlockPartition) -> np.ndarray:
+    # the block pattern at ZERO_TOL, which the structural classifiers test
+    return _nonzero_blocks(_row_block_maxima(ops, partition), partition, ZERO_TOL)
 
 
 def _single_block(grid: np.ndarray, axis: int) -> bool:
@@ -150,32 +159,30 @@ def block_pattern(op, partition: BlockPartition) -> np.ndarray:
     d = partition.total
     if op.shape != (d, d):
         raise ValueError(f"operator has shape {op.shape}, expected ({d}, {d})")
-    return _nonzero_blocks(op[None], partition, ZERO_TOL)[0]
+    return _pattern(op[None], partition)[0]
 
 
 def is_bio_structural(ks: KrausSet) -> bool:
     """Every operator has at most one nonzero block in each column partition."""
-    return _single_block(_nonzero_blocks(ks.operators, ks.partition, ZERO_TOL), axis=1)
+    return _single_block(_pattern(ks.operators, ks.partition), axis=1)
 
 
 def is_sbio_structural(ks: KrausSet) -> bool:
     """At most one nonzero block per column partition and per row partition."""
-    grid = _nonzero_blocks(ks.operators, ks.partition, ZERO_TOL)
+    grid = _pattern(ks.operators, ks.partition)
     return _single_block(grid, axis=1) and _single_block(grid, axis=2)
 
 
 # The semantic classifiers test K|x><y|K^dag over elementary basis pairs
 # (x, y).  Its entries are K[a, x] conj(K[b, y]), so its largest magnitude
 # over the rows of block r and the columns of block s is A[n, r, x] A[n, s, y]
-# with A from _row_block_maxima.  Each reduction below yields (deviation,
-# scale) arrays over its pairs, one column block or column at a time, and a
-# pair passes when deviation <= zero_threshold(scale).
+# with A from _row_block_maxima, computed once and passed in.  Each reduction
+# below yields (deviation, scale) arrays over its pairs, one column block or
+# column at a time, and a pair passes when deviation <= zero_threshold(scale).
 
 
-def _bio_pairs(ks: KrausSet):
+def _bio_pairs(amax: np.ndarray, p: BlockPartition):
     """Same-block pairs: the worst cross-block entry over all branches."""
-    p = ks.partition
-    amax = _row_block_maxima(ks.operators, p)
     cross = ~np.eye(p.num_blocks, dtype=bool)
     for l in range(p.num_blocks):
         a = amax[:, :, p.block_slice(l)]
@@ -183,17 +190,29 @@ def _bio_pairs(ks: KrausSet):
         yield prod[:, cross].max(axis=(0, 1), initial=0.0), prod.max(axis=(0, 1, 2))
 
 
-def _cross_pairs(ks: KrausSet):
+def _cross_pairs(amax: np.ndarray, p: BlockPartition):
     """Cross-block pairs: the worst on-block entry, SBIO's extra condition."""
-    labels = block_labels(ks.partition)
-    amax = _row_block_maxima(ks.operators, ks.partition)
-    for l in range(ks.partition.num_blocks):
+    labels = block_labels(p)
+    for l in range(p.num_blocks):
         a, b = amax[:, :, labels == l], amax[:, :, labels != l]
         on = (a[:, :, :, None] * b[:, :, None, :]).max(axis=(0, 1))
         yield on, (a.max(axis=1)[:, :, None] * b.max(axis=1)[:, None, :]).max(axis=0)
 
 
-def _mbio_pairs(ks: KrausSet):
+def _mixed_blocks(amax: np.ndarray, p: BlockPartition) -> np.ndarray:
+    """The column blocks in which some operator has exactly nonzero entries in two row blocks.
+
+    In any other column block l every operator's columns lie in one row
+    block, so each cross-block product K_n[a, x] conj(K_n[b, y]) has an
+    exact zero factor: the summed cross block of the MBIO Gram is exactly 0
+    and passes at every tolerance >= 0.  This is BIO inside MBIO, read off
+    the exact support (the pattern at tol 0) rather than a threshold.
+    """
+    support = _nonzero_blocks(amax, p, 0.0)
+    return np.flatnonzero((support.sum(axis=1) > 1).any(axis=0))
+
+
+def _mbio_pairs(ks: KrausSet, blocks=None):
     """Same-block pairs of the summed output sum_n K_n|x><y|K_n^dag.
 
     The sum over branches does not factor into block maxima, so each column
@@ -202,11 +221,13 @@ def _mbio_pairs(ks: KrausSet):
     panel of rows a at a time, at most ``MBIO_PANEL`` entries (one row at
     least), and its magnitudes are laid out as [a, b, x, y], so a pair's
     scale is the maximum over the two leading axes and its deviation the
-    same maximum over the (a, b) in different blocks only.
+    same maximum over the (a, b) in different blocks only.  ``blocks``
+    limits the column blocks (the verdicts pass _mixed_blocks); None is
+    every block.
     """
     p, ops = ks.partition, ks.operators
     d, off = p.total, ~block_mask(p)[:, :, None, None]
-    for l in range(p.num_blocks):
+    for l in (range(p.num_blocks) if blocks is None else blocks):
         dc = p.dims[l]
         cols = ops[:, :, p.block_slice(l)].reshape(len(ops), d * dc)
         right = cols.conj()
@@ -242,9 +263,11 @@ def semantic_verdict(ks: KrausSet, strict: bool = False) -> tuple[bool, float]:
     is_*_semantic predicates reach the same verdict but stop at the first
     failing column block, so they give no deviation.
     """
-    pairs = _bio_pairs(ks)
+    p = ks.partition
+    amax = _row_block_maxima(ks.operators, p)
+    pairs = _bio_pairs(amax, p)
     if strict:
-        pairs = itertools.chain(pairs, _cross_pairs(ks))
+        pairs = itertools.chain(pairs, _cross_pairs(amax, p))
     return _verdict(pairs, ZERO_TOL)
 
 
@@ -255,7 +278,8 @@ def is_bio_semantic(ks: KrausSet) -> bool:
     elementary B = |x><y| with x, y in the same block.  By linearity this is
     equivalent to the same condition for the diagonal blocks of all states.
     """
-    return _holds(_bio_pairs(ks), ZERO_TOL)
+    p = ks.partition
+    return _holds(_bio_pairs(_row_block_maxima(ks.operators, p), p), ZERO_TOL)
 
 
 def is_sbio_semantic(ks: KrausSet) -> bool:
@@ -265,12 +289,16 @@ def is_sbio_semantic(ks: KrausSet) -> bool:
     B' = |x><y| with x, y in different blocks, which by linearity is the same
     as each branch commuting with the block-dephasing map.
     """
-    return _holds(itertools.chain(_bio_pairs(ks), _cross_pairs(ks)), ZERO_TOL)
+    p = ks.partition
+    amax = _row_block_maxima(ks.operators, p)
+    return _holds(itertools.chain(_bio_pairs(amax, p), _cross_pairs(amax, p)), ZERO_TOL)
 
 
 def is_mbio(ks: KrausSet) -> bool:
     """The summed channel maps every free-space basis element to a free operator."""
-    return _holds(_mbio_pairs(ks), ZERO_TOL)
+    p = ks.partition
+    blocks = _mixed_blocks(_row_block_maxima(ks.operators, p), p)
+    return _holds(_mbio_pairs(ks, blocks), ZERO_TOL)
 
 
 def sbio_commutation_deviation(ks: KrausSet, rho) -> float:
@@ -287,18 +315,35 @@ def sbio_commutation_deviation(ks: KrausSet, rho) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _check_tolerance(tol: float, text=None) -> float:
+    """``tol`` if it is finite and >= 0, else a ValueError that shows ``text`` or ``tol``.
+
+    classifier_report and the command line's --tol share this rule.
+    """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        shown = tol if text is None else text
+        raise ValueError(f"tolerance must be finite and >= 0, got {shown}")
+    return tol
+
+
 def classifier_report(ks: KrausSet, tol: float = ZERO_TOL) -> dict:
-    """All classifier verdicts for one Kraus set, as a JSON-ready dict."""
-    grid = _nonzero_blocks(ks.operators, ks.partition, tol)
+    """All classifier verdicts for one Kraus set, as a JSON-ready dict.
+
+    A tolerance that is not finite and >= 0 is a ValueError.
+    """
+    _check_tolerance(tol)
+    p = ks.partition
+    amax = _row_block_maxima(ks.operators, p)
+    grid = _nonzero_blocks(amax, p, tol)
     bio_structural = _single_block(grid, axis=1)
-    bio_semantic = _holds(_bio_pairs(ks), tol)
+    bio_semantic = _holds(_bio_pairs(amax, p), tol)
     return {
         "cptp": verify_cptp(ks),
-        "mbio": _holds(_mbio_pairs(ks), tol),
+        "mbio": _holds(_mbio_pairs(ks, _mixed_blocks(amax, p)), tol),
         "bio_structural": bio_structural,
         "bio_semantic": bio_semantic,
         "sbio_structural": bio_structural and _single_block(grid, axis=2),
-        "sbio_semantic": bio_semantic and _holds(_cross_pairs(ks), tol),
+        "sbio_semantic": bio_semantic and _holds(_cross_pairs(amax, p), tol),
         "tolerance": float(tol),
     }
 
@@ -367,7 +412,7 @@ def has_scaled_isometry_blocks(ks: KrausSet) -> bool:
     """
     p = ks.partition
     dims, offsets = np.array(p.dims), np.array(p.offsets)
-    n, r, c = np.nonzero(_nonzero_blocks(ks.operators, p, ZERO_TOL))
+    n, r, c = np.nonzero(_pattern(ks.operators, p))
     # one stacked Gram product per (row size, column size) of nonzero block
     for dr, dc in set(zip(dims[r].tolist(), dims[c].tolist())):
         pick = (dims[r] == dr) & (dims[c] == dc)

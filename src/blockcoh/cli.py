@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -57,6 +56,7 @@ def _tolerance(value) -> float:
     """The classifier tolerance: --tol, else BLOCKCOH_TOL, else ZERO_TOL.
 
     The text must be ASCII without "_": float() alone would also read "٣" and "1_0".
+    The value must then pass classifier_report's own rule, finite and >= 0.
     """
     text = os.environ.get("BLOCKCOH_TOL") if value is None else value
     if text is None:
@@ -67,9 +67,10 @@ def _tolerance(value) -> float:
         tol = float(text)
     except ValueError:
         raise serialize.SchemaError(f"tolerance {text!r} is not a number") from None
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise serialize.SchemaError(f"tolerance must be finite and >= 0, got {text}")
-    return tol
+    try:
+        return channels._check_tolerance(tol, text)
+    except ValueError as exc:
+        raise serialize.SchemaError(str(exc)) from None
 
 
 def _read_json(path: str):

@@ -11,7 +11,11 @@ fields of that form, e.g. "2,3" or "2, 3", checked as a "partition" array is.
 
 ``load_json`` reads these files one operator at a time: each matrix of a
 "kraus" or "effects" array is decoded as soon as it is parsed, so the
-parsed Python tree of only one matrix is alive at any time.
+parsed Python tree of only one matrix is alive at any time.  A matrix is
+first read straight from its text as one flat list of numbers
+(``_grid_matrix``), which builds no nested lists; the first matrix that this
+path declines, and every one after it, is parsed by json as nested arrays.
+Both give the same bits and the same errors.
 """
 
 from __future__ import annotations
@@ -123,6 +127,15 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
 MATRIX_ARRAYS = ("kraus", "effects")
 _DECODER = json.JSONDecoder()
 _SPACE = re.compile(r"[ \t\n\r]*")
+# _grid_matrix's stop, the first "]" that a grid of pairs does not continue
+# from: "]]]", whose last bracket is group 1, or a "]" that is not followed
+# by "]" or by "," and "[", or "]]," not followed by "[[".
+_GRID_STOP = re.compile(r"\]{w}(?:\]{w}(?:(\])|,{w}\[(?!{w}\[))|,(?!{w}\[)|(?![ \t\n\r,\]]))"
+                        .format(w=r"[ \t\n\r]*"))
+# The skeleton drops the characters of JSON numbers and whitespace; the flat
+# text turns brackets into whitespace.
+_NOT_SKELETON = b"0123456789.eE+- \t\n\r"
+_FLAT = str.maketrans("[]", "  ")
 
 
 class _Unwalkable(Exception):
@@ -158,6 +171,19 @@ def _load_object(text: str) -> dict:
     # and string grammar stay json's; a repeated key keeps its first place
     # and its last value, as in json.loads
     obj = {}
+    # _grid_matrix reads elements until it first declines one; after that its
+    # stop search never runs again, so it scans the text at most once more
+    grid = True
+
+    def item(pos, items):
+        nonlocal grid
+        if grid:
+            found = _grid_matrix(text, pos)
+            if found is not None:
+                items.append(found[0])
+                return found[1]
+            grid = False
+        return _matrix_item(text, pos, items)
 
     def member(pos):
         if not text.startswith('"', pos):
@@ -166,7 +192,7 @@ def _load_object(text: str) -> dict:
         pos = _past(text, pos, ":")
         if key in MATRIX_ARRAYS and text.startswith("[", pos):
             obj[key] = items = []
-            return _walk(text, pos, "]", lambda pos: _matrix_item(text, pos, items))
+            return _walk(text, pos, "]", lambda pos: item(pos, items))
         obj[key], pos = _DECODER.raw_decode(text, pos)
         return pos
 
@@ -174,6 +200,43 @@ def _load_object(text: str) -> dict:
     if _SPACE.match(text, end).end() != len(text):
         raise _Unwalkable
     return obj
+
+
+def _grid_matrix(text: str, pos: int):
+    """(matrix, position after it) of the array element at ``pos``, read from its text.
+
+    None declines, and the element goes to _matrix_item.  The element must be
+    three "[" with whitespace between them, then text up to the first stop
+    of _GRID_STOP that is three closing brackets; its skeleton must be that
+    of an r x c grid of [re, im] pairs, and json must read the text with its
+    brackets turned to whitespace as one list of numbers.  Then no number
+    stands outside a pair and every pair holds two, so the text is the JSON
+    grid that raw_decode would read, and these are its numbers: json's own
+    grammar, then the float conversion and checks of _matrix_from_flat.
+    """
+    start = pos
+    for _ in range(3):
+        if not text.startswith("[", pos):
+            return None
+        pos = _SPACE.match(text, pos + 1).end()
+    stop = _GRID_STOP.search(text, pos)
+    if stop is None or stop.group(1) is None:
+        return None
+    seg = text[start:stop.end()]
+    # as ASCII bytes, where translate deletes fastest; other characters become "?"
+    skeleton = seg.encode("ascii", "replace").translate(None, _NOT_SKELETON)
+    cols = skeleton.find(b"]]") // 4
+    row = b"[" + b",".join([b"[,]"] * cols) + b"]"
+    rows = (len(skeleton) - 1) // (len(row) + 1)
+    if cols < 1 or skeleton != b"[" + b",".join([row] * rows) + b"]":
+        return None
+    try:
+        values = np.array(json.loads("[" + seg.translate(_FLAT) + "]"), dtype=float)
+    except (ValueError, OverflowError):  # not json numbers, or an int beyond the float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(complex).reshape(rows, cols), stop.end()
 
 
 def _matrix_item(text: str, pos: int, items: list) -> int:
@@ -190,11 +253,13 @@ def load_json(text: str):
 
     A top-level object is walked member by member, and every element of a
     "kraus" or "effects" array is decoded by the flat conversion as soon as
-    json has parsed it, so only one matrix's Python tree is alive at a time.
-    Those elements come back as complex arrays, which matrix_from_json passes
-    through; elements the flat conversion declines stay as parsed.  A
-    document the walk cannot finish (invalid JSON, a top level that is not an
-    object) goes to json.loads, which returns or raises as it always does.
+    it is parsed, so only one matrix's Python tree is alive at a time: from
+    its text by _grid_matrix until that declines an element, then by json's
+    raw_decode.  Those elements come back as complex arrays, which
+    matrix_from_json passes through; elements the flat conversion declines
+    stay as parsed.  A document the walk cannot finish (invalid JSON, a top
+    level that is not an object) goes to json.loads, which returns or raises
+    as it always does.
     """
     try:
         return _load_object(text)

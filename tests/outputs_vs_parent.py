@@ -1,4 +1,4 @@
-"""Compare the bytes of gen, dilate -o, measure and verify with a parent checkout.
+"""Compare the bytes of gen, classify, dilate -o, measure and verify with a parent checkout.
 
 Usage, from the repository root:
 
@@ -8,10 +8,11 @@ PARENT_SRC is the ``src`` directory of another checkout, for example one
 unpacked from ``git archive``; HEAD_SRC defaults to this checkout's ``src``.
 Each side runs the same fixed list of invocations through
 ``blockcoh.cli.main`` in one child interpreter, in a temporary directory that
-holds the inputs of ``tests/data/golden`` and the POVM and state files
-written below. The script prints the first byte that differs (invocation,
-stream or file, offset and the bytes around it) and exits 1, or prints how
-many invocations matched and exits 0.
+holds the inputs of ``tests/data/golden``, the POVM and state files written
+below, and Kraus sets of every class at (8,8,8,8) and (16,16,16) that
+PARENT_SRC's ``gen -o`` writes, each in three layouts. The script prints the
+first byte that differs (invocation, stream or file, offset and the bytes
+around it) and exits 1, or prints how many invocations matched and exits 0.
 
 These outputs hold floats computed by LAPACK, which can differ in the last
 bits between BLAS builds, so they are compared on one machine rather than
@@ -34,15 +35,20 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "data" / "golden"
 
-# Runs every invocation of invocations.json through cli.main; the codes and
-# the module's file go to results.json, each stream to results/<i>.<stream>.
+# Runs every invocation of invocations.json through cli.main, an argv or
+# [argv, file fed to stdin]; the codes and the module's file go to
+# results.json, each stream to results/<i>.<stream>.
 CHILD = r"""
-import contextlib, io, json
+import contextlib, io, json, sys
 from blockcoh import cli
 with open("invocations.json") as fh:
     runs = json.load(fh)
 codes = []
-for i, argv in enumerate(runs):
+for i, run in enumerate(runs):
+    argv, stdin = run if isinstance(run[0], list) else (run, None)
+    if stdin is not None:
+        with open(stdin, "rb") as fh:
+            sys.stdin = io.TextIOWrapper(io.BytesIO(fh.read()))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         codes.append(cli.main(argv))
@@ -92,6 +98,34 @@ def input_files(rng):
     return files
 
 
+# gen -o writes these with PARENT_SRC before either side runs
+GEN_PARTITIONS = ("8,8,8,8", "16,16,16")
+GEN = r"""
+import sys
+from blockcoh import cli
+for kind in ("bio", "sbio", "pbio", "unitary"):
+    for part in sys.argv[1:]:
+        out = f"gen_{kind}_{part.replace(',', '_')}.json"
+        argv = ["gen", "--class", kind, "--partition", part, "--seed", "7", "-o", out]
+        assert cli.main(argv) == 0
+"""
+
+
+def generated_sets(src: Path):
+    """The gen -o files of every class at GEN_PARTITIONS, each also compact and tab/CRLF."""
+    texts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", GEN, *GEN_PARTITIONS], cwd=tmp, env=env, check=True)
+        for path in sorted(Path(tmp).iterdir()):
+            text = path.read_text()
+            obj = json.loads(text)
+            texts[path.name] = text
+            texts["compact_" + path.name] = json.dumps(obj, separators=(",", ":"))
+            texts["tabs_" + path.name] = json.dumps(obj, indent="\t").replace("\n", "\r\n")
+    return texts
+
+
 def invocations(files):
     runs = []
     for kind in ("bio", "sbio", "pbio", "unitary"):
@@ -109,6 +143,11 @@ def invocations(files):
             for measure in ("rel-entropy", "l1"):
                 runs.append(["measure", "--state", name, "--partition", part,
                              "--measure", measure])
+    for name in sorted(name for name in files if name.startswith("gen_")):
+        for layout in ("", "compact_", "tabs_"):
+            runs.append(["classify", layout + name])
+        runs.append([["classify", "-"], name])
+        runs.append(["classify", name, "--tol=1e-6"])
     suites = ("appendix-a", "appendix-b", "lemmas", "inclusion", "naimark", "measures")
     runs += [["verify", suite] for suite in suites]
     runs += [["verify", suite, "--seed", "1", "--trials", "50"] for suite in suites]
@@ -120,7 +159,7 @@ def run_side(src: Path, work: Path, files, runs):
         if path.name != "manifest.json":
             shutil.copy(path, work)
     for name, obj in files.items():
-        (work / name).write_text(json.dumps(obj) + "\n")
+        (work / name).write_text(obj if isinstance(obj, str) else json.dumps(obj) + "\n")
     (work / "invocations.json").write_text(json.dumps(runs))
     (work / "out").mkdir()
     (work / "results").mkdir()
@@ -147,6 +186,7 @@ def main(argv) -> int:
     parent = Path(argv[1]).resolve()
     head = Path(argv[2]).resolve() if len(argv) == 3 else HERE.parent / "src"
     files = input_files(np.random.default_rng(20))
+    files.update(generated_sets(parent))
     runs = invocations(files)
     with tempfile.TemporaryDirectory() as tmp:
         sides = [Path(tmp, "parent"), Path(tmp, "head")]

@@ -606,6 +606,90 @@ def test_mbio_panel_stays_within_its_budget():
     assert peak <= 8e6, f"is_mbio traced a peak of {peak / 1e6:.1f} MB"
 
 
+def test_mbio_verdicts_match_the_whole_gram(monkeypatch):
+    # classifier_report and is_mbio form the Gram only for column blocks
+    # where some operator is exactly nonzero in two row blocks; the Gram of
+    # every block (_mbio_pairs with no block list) is the oracle
+    whole = channels._mbio_pairs
+    formed = []
+
+    def counted(ks, blocks=None):
+        for pair in whole(ks, blocks):
+            formed.append(pair)
+            yield pair
+
+    monkeypatch.setattr(channels, "_mbio_pairs", counted)
+    rng = np.random.default_rng(162)
+    sets = [(seed % 8, ks) for dims in ORACLE_PARTITIONS
+            for seed, ks in enumerate(itertools.islice(oracle_sets(dims), 48))]
+    # leaks of exactly 1e-12, and entries of size ~1e-162, whose products
+    # underflow, all checked at tol 0 too
+    for dims in ((2, 3), (1, 1, 1), (2, 2)):
+        p = BlockPartition(dims)
+        member = gen_random("sbio", p, 5).operators
+        zero = member == 0
+        sets += [(7, KrausSet(p, member + leak * zero * ginibre(rng, *member.shape)))
+                 for leak in (1e-12, 1e-162)]
+        sets += [(6, KrausSet(p, random_cptp(p.total, 3, rng) * 1e-162)),
+                 (0, KrausSet(p, member * 1e-162))]
+    verdicts = {tol: set() for tol in (0.0, ZERO_TOL, 1e-6)}
+    for case, ks in sets:
+        cross_blocks = ks.partition.num_blocks > 1
+        for tol in verdicts:
+            want = channels._holds(whole(ks), tol)
+            formed.clear()
+            assert classifier_report(ks, tol)["mbio"] == want, (ks.partition, case, tol)
+            if case < 3:  # BIO, SBIO and PBIO members: every block is skipped
+                assert formed == []
+            if case == 7 and cross_blocks:  # a leak: the Gram ran
+                assert formed
+            verdicts[tol].add(want)
+        formed.clear()
+        assert is_mbio(ks) == channels._holds(whole(ks), ZERO_TOL)
+        if case == 7 and cross_blocks:
+            assert formed
+    assert all(v == {True, False} for v in verdicts.values())
+
+
+def test_members_skip_the_whole_mbio_gram(monkeypatch):
+    # BIO, SBIO and PBIO members, the classify-ladder kinds, form no Gram block
+    calls = []
+    monkeypatch.setattr(channels, "_mbio_pairs",
+                        lambda ks, blocks=None: calls.append(list(blocks)) or iter(()))
+    for dims in ((2, 3), (3, 5, 7), (1,) * 8, (8, 8, 8, 8)):
+        for kind in ("bio", "sbio", "pbio"):
+            ks = gen_random(kind, BlockPartition(dims), 3)
+            calls.clear()
+            assert classifier_report(ks)["mbio"] and is_mbio(ks)
+            assert calls == [[], []], (kind, dims)
+
+
+def test_classifier_report_computes_block_maxima_once(monkeypatch):
+    calls = []
+    maxima = channels._row_block_maxima
+    monkeypatch.setattr(channels, "_row_block_maxima",
+                        lambda ops, p: calls.append(ops.shape) or maxima(ops, p))
+    rng = np.random.default_rng(3)
+    for ks in (gen_random("sbio", P23, 7), gen_pattern_violating("bio", P23, 3),
+               gen_pattern_violating("sbio", P23, 3), KrausSet(P23, random_cptp(5, 2, rng))):
+        for tol in (0.0, ZERO_TOL):
+            calls.clear()
+            classifier_report(ks, tol)
+            assert len(calls) == 1
+
+
+def test_classifier_report_rejects_a_tolerance_that_is_not_finite_and_nonnegative():
+    # at nan the parent reported bio_structural but not bio_semantic, and at
+    # -1 every class false; the command line's --tol has the same rule
+    ks = gen_random("sbio", P23, 7)
+    for tol, shown in ((float("nan"), "nan"), (-1, "-1"), (-1e-300, "-1e-300"),
+                       (float("inf"), "inf"), (-float("inf"), "-inf")):
+        with pytest.raises(ValueError) as exc:
+            classifier_report(ks, tol)
+        assert str(exc.value) == f"tolerance must be finite and >= 0, got {shown}"
+    assert all(classifier_report(ks, tol)["sbio_semantic"] for tol in (0.0, 0, 1e300))
+
+
 # ---------------------------------------------------------------------------
 # reference oracles: the generator, the commutation check and the PBIO
 # helpers as they were before they were stacked

@@ -620,6 +620,67 @@ def test_decoding_a_big_kraus_file_holds_one_operator_tree_at_a_time(monkeypatch
         assert peak <= bound, f"decoding traced a peak of {peak / 1e6:.1f} MB"
 
 
+def grid_outcomes(text, pos=0):
+    """What the reader's text path and its old path (raw_decode, then the flat
+    conversion) make of the array element at ``pos``: bits, shape and end, or None."""
+    try:
+        raw, end = serialize._DECODER.raw_decode(text, pos)
+        mat = serialize._matrix_from_flat(raw)
+        old = None if mat is None else (mat.tobytes(), mat.shape, end)
+    except (ValueError, RecursionError):
+        old = None
+    fast = serialize._grid_matrix(text, pos)
+    return None if fast is None else (fast[0].tobytes(), fast[0].shape, fast[1]), old
+
+
+def test_grid_text_path_takes_exactly_the_well_formed_grids():
+    # every single bracket or comma of a 3 x 2 grid deleted, doubled or moved
+    # to any other place (over a neighbouring number too, which keeps the
+    # grid's skeleton); the text path reads the same bits as the old path, or
+    # both decline
+    grid = [[[1.5, -0.0], [2, 3e-5]], [[-4, 5], [6.25, 7]], [[8, 9], [0, -1e300]]]
+    cases = 0
+    for text in layouts(grid):
+        fast, old = grid_outcomes(text)
+        assert fast == old and fast is not None
+        for k in [k for k, ch in enumerate(text) if ch in "[],"]:
+            rest = text[:k] + text[k + 1:]
+            edits = [rest, text[:k + 1] + text[k:]]
+            edits += [rest[:to] + text[k] + rest[to:] for to in range(len(rest) + 1)]
+            for edited in edits:
+                for tail in ("", ", [[[1, 2]]]]"):
+                    fast, old = grid_outcomes(edited + tail)
+                    assert fast == old, edited
+                    cases += 1
+    assert cases > 10000
+
+
+def test_a_declined_element_sends_the_rest_of_the_document_to_raw_decode(monkeypatch):
+    # the text path's stop search could otherwise scan ahead once per
+    # malformed element; after one decline it is not tried again
+    attempts = []
+    grid_matrix = serialize._grid_matrix
+    monkeypatch.setattr(serialize, "_grid_matrix",
+                        lambda text, pos: attempts.append(pos) or grid_matrix(text, pos))
+    for bad in ("[[1.5, 2.5]]", "[[[1.5, 2.5]], [1.5]]", "[[[1.5, 2.5]], 7]",
+                "[[[1.5, 2.5], [1.5, 2.5, 3.5]]]", '[[[1.5, "2.5"]]]'):
+        for good_first in (False, True):
+            elements = ["[[[1, 0]]]"] * good_first + [bad] * 2000
+            text = '{"dim": 1, "partition": [1], "kraus": [' + ", ".join(elements) + "]}"
+            attempts.clear()
+            got = serialize.load_json(text)["kraus"]
+            assert got[good_first:] == json.loads(text)["kraus"][good_first:]
+            assert len(attempts) == 1 + good_first, bad
+    # a well-formed array takes the text path for every element
+    attempts.clear()
+    ks = gen_random("sbio", BlockPartition((2, 3)), 7)
+    for text in layouts(kraus_to_json(ks)):
+        attempts.clear()
+        got = serialize.load_json(text)
+        assert len(attempts) == ks.n_operators
+        assert all(isinstance(op, np.ndarray) for op in got["kraus"])
+
+
 def test_appendix_suites_reject_single_block_partitions(capsys):
     for suite in ("appendix-a", "appendix-b"):
         for partition in ("3", "1"):

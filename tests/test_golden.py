@@ -5,7 +5,8 @@ file fed to stdin, to the exit code, stdout and stderr that ``cli.main``
 gave for it when the manifest was recorded. Its rows are the outputs that
 hold no float computed by LAPACK, so they are the same on every BLAS build:
 ``classify`` reports, ``bound`` counts and error lines. The other files of
-that directory are the inputs the rows name. ``gen``, ``dilate`` and
+that directory are the inputs the rows name; the ``dilate`` rows that exit 0
+read diagonal 0/1 projectors, whose dilation is exact. ``gen``, ``dilate`` and
 ``measure`` print floats that can differ in the last bits between builds;
 ``tests/outputs_vs_parent.py`` compares those against a parent checkout on
 one machine instead.

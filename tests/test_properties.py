@@ -5,6 +5,7 @@ the entropy gap, the dilation and the command line's exit contract."""
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from blockcoh.sampling import (  # noqa: E402
     random_density_matrix,
     random_povm,
 )
+from test_cli import grid_outcomes  # noqa: E402
 from test_naimark import reference_dilate  # noqa: E402
 
 SEEDS = st.integers(min_value=0, max_value=2**63)
@@ -327,6 +329,69 @@ def read_outcome(load, schema, text):
 def test_streaming_reader_equals_json_loads(doc):
     text, schema = doc
     assert read_outcome(serialize.load_json, schema, text) == read_outcome(json.loads, schema, text)
+
+
+# Array elements for the text path of the reader (serialize._grid_matrix):
+# a grid of [re, im] pairs in one of three layouts, then at most one token
+# replaced, one bracket or comma deleted, doubled or moved anywhere, or the
+# bracket or comma next to a number moved over it (which keeps the grid's
+# skeleton, the text without numbers and whitespace).
+GRID_TOKENS = ["-0", "-0.0", "0", "1E+2", "2.5e-3", "1e-400", "+1", "1.", ".5", "01", "-",
+               "NaN", "Infinity", "-Infinity", "1e400", HUGE_401, '"1.0"', "true", "null",
+               "1 2", "1,2", "", "[1]", "[]"]
+
+
+@st.composite
+def grid_texts(draw):
+    """(text, position of the element, whether it is a well-formed grid)."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 0, 5e-324]), st.integers(-10**20, 10**20))
+    pair = st.lists(number, min_size=2, max_size=2)
+    grid = draw(st.lists(st.lists(pair, min_size=c, max_size=c), min_size=r, max_size=r))
+    layout = draw(st.sampled_from(["compact", "indent-2", "crlf-tabs"]))
+    if layout == "compact":
+        text = json.dumps(grid, separators=(",", ":"))
+    elif layout == "indent-2":
+        text = json.dumps(grid, indent=2)
+    else:
+        text = json.dumps(grid, indent="\t").replace("\n", "\r\n")
+    mutation = draw(st.sampled_from(["none", "token", "mark", "hop"]))
+    numbers = [m.span() for m in re.finditer(r"[0-9.eE+-]+", text)]
+    i, j = numbers[draw(st.integers(0, len(numbers) - 1))]
+    if mutation == "token":
+        text = text[:i] + draw(st.sampled_from(GRID_TOKENS)) + text[j:]
+    elif mutation == "mark":
+        marks = [k for k, ch in enumerate(text) if ch in "[],"]
+        k = marks[draw(st.integers(0, len(marks) - 1))]
+        rest = text[:k] + text[k + 1:]
+        action = draw(st.sampled_from(["delete", "double", "move"]))
+        if action == "double":
+            rest = text[:k] + text[k] + text[k:]
+        elif action == "move":
+            to = draw(st.integers(0, len(rest)))
+            rest = rest[:to] + text[k] + rest[to:]
+        text = rest
+    elif mutation == "hop" and draw(st.booleans()):  # the mark before number i:j to after it
+        k = max(text.rfind("[", 0, i), text.rfind(",", 0, i))
+        text = text[:k] + text[k + 1:j] + text[k] + text[j:]
+    elif mutation == "hop":  # the mark after it to before it
+        k = min(x for x in (text.find(",", j), text.find("]", j)) if x >= 0)
+        text = text[:i] + text[k] + text[i:k] + text[k + 1:]
+    prefix = draw(st.sampled_from(["", "[", '{"kraus": [']))
+    suffix = draw(st.sampled_from(["", "]}", ", [[[1, 2]]]]", "]]", "\n"]))
+    return prefix + text + suffix, len(prefix), mutation == "none"
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=grid_texts())
+def test_grid_text_path_equals_raw_decode(case):
+    text, pos, well_formed = case
+    fast, old = grid_outcomes(text, pos)
+    # the same bits (signed zeros included) and end position, or both decline
+    assert fast == old
+    if well_formed:
+        assert fast is not None
 
 
 # commands that write no file, their flags, two abbreviations, and values of
