@@ -153,12 +153,14 @@ def block_pattern(op, partition: BlockPartition) -> np.ndarray:
     """Boolean (k, k) grid: True where the (row, col) block holds a nonzero entry.
 
     An entry is nonzero when it exceeds the scale-relative threshold of the
-    whole operator.
+    whole operator.  An operator with a NaN or infinite entry is a ValueError.
     """
     op = np.asarray(op, dtype=complex)
     d = partition.total
     if op.shape != (d, d):
         raise ValueError(f"operator has shape {op.shape}, expected ({d}, {d})")
+    if not np.all(np.isfinite(op)):
+        raise ValueError("operator must have finite entries")
     return _pattern(op[None], partition)[0]
 
 

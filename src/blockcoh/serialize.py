@@ -9,19 +9,19 @@ of the first.  Integers on the command line (``parse_int``) are ASCII digits
 with the whitespace around them stripped; a partition is comma-separated
 fields of that form, e.g. "2,3" or "2, 3", checked as a "partition" array is.
 
-``load_json`` reads these files one operator at a time: each matrix of a
-"kraus" or "effects" array is decoded as soon as it is parsed, so the
-parsed Python tree of only one matrix is alive at any time.  A matrix is
-first read straight from its text as one flat list of numbers
-(``_grid_matrix``), which builds no nested lists; the first matrix that this
-path declines, and every one after it, is parsed by json as nested arrays.
-Both give the same bits and the same errors.
+A matrix is decoded in one of two ways, with the same bits.  The fast
+decoder, ``_grid_matrix``, reads each matrix of a "kraus" or "effects" array
+straight from the text of ``load_json`` as one flat list of numbers, so a
+well-formed file never holds a matrix as nested lists.  It declines any
+element that is not a grid of finite numbers.  The entry loop of
+``matrix_from_json`` decodes everything else and names the first bad entry:
+state files, the element that the fast decoder declines and every element
+after it, and documents that the member walk cannot finish.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import os
 import re
@@ -50,32 +50,6 @@ def _is_json_int(raw) -> bool:
 
 def _is_json_number(raw) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool)
-
-
-def _matrix_from_flat(obj):
-    """``obj`` decoded by one flat conversion, or None to leave it to the entry loop.
-
-    Accepts only what the loop accepts: a nonempty list of nonempty rows of
-    equal width, each entry a [re, im] list of two JSON numbers (int or float,
-    not bool), all finite.  The values are those of float() on each number.
-    """
-    if type(obj) is not list or not obj or set(map(type, obj)) != {list}:
-        return None
-    if not obj[0] or len(set(map(len, obj))) != 1:
-        return None
-    entries = list(itertools.chain.from_iterable(obj))
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return None
-    flat = list(itertools.chain.from_iterable(entries))
-    if not set(map(type, flat)) <= {int, float}:
-        return None
-    try:
-        values = np.array(flat, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return values.view(complex).reshape(len(obj), -1)
 
 
 def _matrix_from_entries(obj, what: str) -> np.ndarray:
@@ -112,15 +86,13 @@ def _matrix_from_entries(obj, what: str) -> np.ndarray:
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     """A (rows, cols) complex matrix from rows of [re, im] JSON numbers.
 
-    One flat conversion decodes a well-formed matrix; anything else goes
-    through the entry loop, whose SchemaError names the first bad entry.
-    A matrix that ``load_json`` has already decoded (a 2-D complex array)
-    is passed through.
+    A parsed list goes through the entry loop, whose SchemaError names the
+    first bad entry.  A matrix that ``load_json`` has already decoded (a 2-D
+    complex array) is passed through.
     """
     if isinstance(obj, np.ndarray) and obj.dtype == complex and obj.ndim == 2:
         return obj
-    mat = _matrix_from_flat(obj)
-    return _matrix_from_entries(obj, what) if mat is None else mat
+    return _matrix_from_entries(obj, what)
 
 
 # The top-level arrays whose elements load_json decodes as it parses them.
@@ -172,18 +144,19 @@ def _load_object(text: str) -> dict:
     # and its last value, as in json.loads
     obj = {}
     # _grid_matrix reads elements until it first declines one; after that its
-    # stop search never runs again, so it scans the text at most once more
+    # stop search never runs again, so it scans the text at most once more.
+    # The declined element and every one after it stay as raw_decode parses
+    # them, for the entry loop of matrix_from_json
     grid = True
 
     def item(pos, items):
         nonlocal grid
-        if grid:
-            found = _grid_matrix(text, pos)
-            if found is not None:
-                items.append(found[0])
-                return found[1]
+        found = _grid_matrix(text, pos) if grid else None
+        if found is None:
             grid = False
-        return _matrix_item(text, pos, items)
+            found = _DECODER.raw_decode(text, pos)
+        items.append(found[0])
+        return found[1]
 
     def member(pos):
         if not text.startswith('"', pos):
@@ -205,14 +178,15 @@ def _load_object(text: str) -> dict:
 def _grid_matrix(text: str, pos: int):
     """(matrix, position after it) of the array element at ``pos``, read from its text.
 
-    None declines, and the element goes to _matrix_item.  The element must be
-    three "[" with whitespace between them, then text up to the first stop
-    of _GRID_STOP that is three closing brackets; its skeleton must be that
-    of an r x c grid of [re, im] pairs, and json must read the text with its
-    brackets turned to whitespace as one list of numbers.  Then no number
-    stands outside a pair and every pair holds two, so the text is the JSON
-    grid that raw_decode would read, and these are its numbers: json's own
-    grammar, then the float conversion and checks of _matrix_from_flat.
+    None declines: this element and every one after it go to raw_decode and
+    then to the entry loop.  The element must be three "[" with whitespace
+    between them, then text up to the first stop of _GRID_STOP that is three
+    closing brackets; its skeleton must be that of an r x c grid of [re, im]
+    pairs, and json must read the text with its brackets turned to whitespace
+    as one list of numbers.  Then no number stands outside a pair and every
+    pair holds two, so the text is the JSON grid that raw_decode would read,
+    and these are the values that the entry loop gives it: json's own
+    grammar, then float() of each number, all finite.
     """
     start = pos
     for _ in range(3):
@@ -239,27 +213,16 @@ def _grid_matrix(text: str, pos: int):
     return values.view(complex).reshape(rows, cols), stop.end()
 
 
-def _matrix_item(text: str, pos: int, items: list) -> int:
-    # one array element, decoded as soon as it is parsed; an element the flat
-    # decode declines stays as parsed, for the schema functions to reject
-    raw, pos = _DECODER.raw_decode(text, pos)
-    mat = _matrix_from_flat(raw)
-    items.append(raw if mat is None else mat)
-    return pos
-
-
 def load_json(text: str):
     """The document ``text`` as json.loads gives it, matrices decoded on the way.
 
-    A top-level object is walked member by member, and every element of a
-    "kraus" or "effects" array is decoded by the flat conversion as soon as
-    it is parsed, so only one matrix's Python tree is alive at a time: from
-    its text by _grid_matrix until that declines an element, then by json's
-    raw_decode.  Those elements come back as complex arrays, which
-    matrix_from_json passes through; elements the flat conversion declines
-    stay as parsed.  A document the walk cannot finish (invalid JSON, a top
-    level that is not an object) goes to json.loads, which returns or raises
-    as it always does.
+    A top-level object is walked member by member.  Each element of a
+    "kraus" or "effects" array is read from its text by _grid_matrix into a
+    complex array, which matrix_from_json passes through.  The first element
+    that _grid_matrix declines, and every one after it, is parsed by json's
+    raw_decode and stays as parsed, for the entry loop.  A document the walk
+    cannot finish (invalid JSON, a top level that is not an object) goes to
+    json.loads, which returns or raises as it always does.
     """
     try:
         return _load_object(text)

@@ -131,6 +131,10 @@ def test_block_pattern_examples():
     assert not block_pattern(np.zeros((5, 5)), P23).any()
     with pytest.raises(ValueError):
         block_pattern(np.eye(4), P23)
+    # a NaN or infinite scale would turn every threshold test False
+    for op in ([[1, np.nan], [np.nan, 1]], [[np.inf, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="finite"):
+            block_pattern(np.array(op), BlockPartition((1, 1)))
 
 
 def test_structural_classifier_examples():

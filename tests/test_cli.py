@@ -621,13 +621,14 @@ def test_decoding_a_big_kraus_file_holds_one_operator_tree_at_a_time(monkeypatch
 
 
 def grid_outcomes(text, pos=0):
-    """What the reader's text path and its old path (raw_decode, then the flat
-    conversion) make of the array element at ``pos``: bits, shape and end, or None."""
+    """What the reader's text path and its reference path (raw_decode, then the
+    entry loop) make of the array element at ``pos``: bits, shape and end, or
+    None.  The reference declines what the loop rejects and zero-width rows."""
     try:
         raw, end = serialize._DECODER.raw_decode(text, pos)
-        mat = serialize._matrix_from_flat(raw)
-        old = None if mat is None else (mat.tobytes(), mat.shape, end)
-    except (ValueError, RecursionError):
+        mat = serialize._matrix_from_entries(raw, "operator 0")
+        old = (mat.tobytes(), mat.shape, end) if mat.shape[1] else None
+    except (ValueError, RecursionError):  # SchemaError is a ValueError
         old = None
     fast = serialize._grid_matrix(text, pos)
     return None if fast is None else (fast[0].tobytes(), fast[0].shape, fast[1]), old
@@ -636,8 +637,8 @@ def grid_outcomes(text, pos=0):
 def test_grid_text_path_takes_exactly_the_well_formed_grids():
     # every single bracket or comma of a 3 x 2 grid deleted, doubled or moved
     # to any other place (over a neighbouring number too, which keeps the
-    # grid's skeleton); the text path reads the same bits as the old path, or
-    # both decline
+    # grid's skeleton); the text path reads the same bits as the entry loop,
+    # or both decline
     grid = [[[1.5, -0.0], [2, 3e-5]], [[-4, 5], [6.25, 7]], [[8, 9], [0, -1e300]]]
     cases = 0
     for text in layouts(grid):

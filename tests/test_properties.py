@@ -32,7 +32,7 @@ from blockcoh.sampling import (  # noqa: E402
     random_density_matrix,
     random_povm,
 )
-from test_cli import grid_outcomes  # noqa: E402
+from test_cli import grid_outcomes, layouts  # noqa: E402
 from test_naimark import reference_dilate  # noqa: E402
 
 SEEDS = st.integers(min_value=0, max_value=2**63)
@@ -231,14 +231,18 @@ def decoded(decode, obj):
 def test_flat_decode_equals_entry_loop(obj):
     loop = decoded(lambda o: serialize._matrix_from_entries(o, "operator 3"), obj)
     full = decoded(lambda o: serialize.matrix_from_json(o, "operator 3"), obj)
-    flat = serialize._matrix_from_flat(obj)
     if isinstance(loop, str):
         # rejected by both, with the loop's message naming the first bad entry
-        assert flat is None and full == loop
+        assert full == loop
     else:
         assert same_bits(full, loop) and full.shape == loop.shape
-        # the loop only runs on what the flat conversion cannot decode
-        assert flat is not None or loop.shape[1] == 0
+    # the text path, in each layout, reads every matrix that the loop decodes
+    # to at least one column, bit for bit, and declines all the others
+    decodable = not isinstance(loop, str) and loop.shape[1] > 0
+    for text in layouts(obj):
+        fast, old = grid_outcomes(text)
+        assert fast == old
+        assert (fast is not None) == decodable
 
 
 # Documents for the streaming reader: a Kraus set or a POVM in one of the
@@ -386,9 +390,9 @@ def grid_texts(draw):
 @settings(max_examples=600, deadline=None)
 @given(case=grid_texts())
 def test_grid_text_path_equals_raw_decode(case):
+    # the same bits (signed zeros included) and end position, or both decline
     text, pos, well_formed = case
     fast, old = grid_outcomes(text, pos)
-    # the same bits (signed zeros included) and end position, or both decline
     assert fast == old
     if well_formed:
         assert fast is not None
