@@ -16,11 +16,14 @@ They compute it from column block maxima, max |K[a, x]| over the rows a of
 one block: the entries of K|x><y|K^dag are K[a, x] conj(K[b, y]), so the
 block maxima give every per-pair deviation and scale exactly, and the
 verdicts are a restatement of the basis check rather than an approximation.
-The structural classifiers test the block sparsity pattern instead: at most
-one nonzero block in each column partition for BIO, at most one per column
-and per row partition for SBIO.  Structural membership implies semantic
-membership; both are exposed so the implication can be checked rather than
-assumed.
+The semantic and MBIO verdicts reduce only the column blocks where the exact
+support (entries of magnitude > 0) can make a deviation nonzero; in every
+other block each product in the deviation has an exact zero factor, so
+skipping it changes no verdict and no worst deviation.  The structural
+classifiers test the block sparsity pattern instead: at most one nonzero
+block in each column partition for BIO, at most one per column and per row
+partition for SBIO.  Structural membership implies semantic membership; both
+are exposed so the implication can be checked rather than assumed.
 
 A constructor for physically realizable free channels is included: a free
 ancilla state, a permutation-with-phases joint unitary and a block projective
@@ -183,35 +186,57 @@ def is_sbio_structural(ks: KrausSet) -> bool:
 # column at a time, and a pair passes when deviation <= zero_threshold(scale).
 
 
-def _bio_pairs(amax: np.ndarray, p: BlockPartition):
-    """Same-block pairs: the worst cross-block entry over all branches."""
+def _bio_pairs(amax: np.ndarray, p: BlockPartition, blocks=None):
+    """Same-block pairs: the worst cross-block entry over all branches.
+
+    ``blocks`` limits the column blocks (the verdicts pass _mixed_blocks);
+    None is every block.
+    """
     cross = ~np.eye(p.num_blocks, dtype=bool)
-    for l in range(p.num_blocks):
+    for l in (range(p.num_blocks) if blocks is None else blocks):
         a = amax[:, :, p.block_slice(l)]
         prod = a[:, :, None, :, None] * a[:, None, :, None, :]  # (n, r, s, x, y)
         yield prod[:, cross].max(axis=(0, 1), initial=0.0), prod.max(axis=(0, 1, 2))
 
 
-def _cross_pairs(amax: np.ndarray, p: BlockPartition):
-    """Cross-block pairs: the worst on-block entry, SBIO's extra condition."""
+def _cross_pairs(amax: np.ndarray, p: BlockPartition, blocks=None):
+    """Cross-block pairs: the worst on-block entry, SBIO's extra condition.
+
+    ``blocks`` limits the column blocks (the verdicts pass _shared_blocks);
+    None is every block.
+    """
     labels = block_labels(p)
-    for l in range(p.num_blocks):
+    for l in (range(p.num_blocks) if blocks is None else blocks):
         a, b = amax[:, :, labels == l], amax[:, :, labels != l]
         on = (a[:, :, :, None] * b[:, :, None, :]).max(axis=(0, 1))
         yield on, (a.max(axis=1)[:, :, None] * b.max(axis=1)[:, None, :]).max(axis=0)
 
 
-def _mixed_blocks(amax: np.ndarray, p: BlockPartition) -> np.ndarray:
-    """The column blocks in which some operator has exactly nonzero entries in two row blocks.
+def _mixed_blocks(support: np.ndarray) -> np.ndarray:
+    """The column blocks in which some operator is exactly nonzero in two row blocks.
 
-    In any other column block l every operator's columns lie in one row
-    block, so each cross-block product K_n[a, x] conj(K_n[b, y]) has an
-    exact zero factor: the summed cross block of the MBIO Gram is exactly 0
-    and passes at every tolerance >= 0.  This is BIO inside MBIO, read off
-    the exact support (the pattern at tol 0) rather than a threshold.
+    ``support`` is the exact support, the _nonzero_blocks pattern at tol 0
+    (a magnitude > 0, not a threshold).  In any other column block l every
+    operator's columns lie in one row block, so each cross-block product
+    K_n[a, x] conj(K_n[b, y]) has an exact zero factor: the BIO deviation of
+    every branch and the summed cross block of the MBIO Gram are exactly 0
+    and pass at every tolerance >= 0.  This is BIO inside MBIO, read off the
+    exact support.
     """
-    support = _nonzero_blocks(amax, p, 0.0)
     return np.flatnonzero((support.sum(axis=1) > 1).any(axis=0))
+
+
+def _shared_blocks(support: np.ndarray) -> np.ndarray:
+    """The column blocks l where some operator's row block is exactly nonzero in l and elsewhere.
+
+    In any other column block l, a row block of an operator that is nonzero
+    in l is zero in every other column block, so each on-block product
+    K_n[a, x] conj(K_n[b, y]) (x in l, y outside l, a and b in one row
+    block) has an exact zero factor: the SBIO cross deviation is exactly 0.
+    ``support`` is the exact support, as for _mixed_blocks.
+    """
+    spread = support & (support.sum(axis=2, keepdims=True) > 1)
+    return np.flatnonzero(spread.any(axis=(0, 1)))
 
 
 def _mbio_pairs(ks: KrausSet, blocks=None):
@@ -258,6 +283,18 @@ def _verdict(pairs, tol: float) -> tuple[bool, float]:
     return holds, worst
 
 
+def _semantic_pairs(ks: KrausSet, strict: bool):
+    # the BIO pairs and, if ``strict``, the SBIO cross pairs, each over the
+    # column blocks its exact support leaves open
+    p = ks.partition
+    amax = _row_block_maxima(ks.operators, p)
+    support = _nonzero_blocks(amax, p, 0.0)
+    pairs = _bio_pairs(amax, p, _mixed_blocks(support))
+    if strict:
+        pairs = itertools.chain(pairs, _cross_pairs(amax, p, _shared_blocks(support)))
+    return pairs
+
+
 def semantic_verdict(ks: KrausSet, strict: bool = False) -> tuple[bool, float]:
     """(verdict, worst deviation) of the BIO or, if ``strict``, SBIO semantic check.
 
@@ -265,12 +302,7 @@ def semantic_verdict(ks: KrausSet, strict: bool = False) -> tuple[bool, float]:
     is_*_semantic predicates reach the same verdict but stop at the first
     failing column block, so they give no deviation.
     """
-    p = ks.partition
-    amax = _row_block_maxima(ks.operators, p)
-    pairs = _bio_pairs(amax, p)
-    if strict:
-        pairs = itertools.chain(pairs, _cross_pairs(amax, p))
-    return _verdict(pairs, ZERO_TOL)
+    return _verdict(_semantic_pairs(ks, strict), ZERO_TOL)
 
 
 def is_bio_semantic(ks: KrausSet) -> bool:
@@ -280,8 +312,7 @@ def is_bio_semantic(ks: KrausSet) -> bool:
     elementary B = |x><y| with x, y in the same block.  By linearity this is
     equivalent to the same condition for the diagonal blocks of all states.
     """
-    p = ks.partition
-    return _holds(_bio_pairs(_row_block_maxima(ks.operators, p), p), ZERO_TOL)
+    return _holds(_semantic_pairs(ks, False), ZERO_TOL)
 
 
 def is_sbio_semantic(ks: KrausSet) -> bool:
@@ -291,16 +322,14 @@ def is_sbio_semantic(ks: KrausSet) -> bool:
     B' = |x><y| with x, y in different blocks, which by linearity is the same
     as each branch commuting with the block-dephasing map.
     """
-    p = ks.partition
-    amax = _row_block_maxima(ks.operators, p)
-    return _holds(itertools.chain(_bio_pairs(amax, p), _cross_pairs(amax, p)), ZERO_TOL)
+    return _holds(_semantic_pairs(ks, True), ZERO_TOL)
 
 
 def is_mbio(ks: KrausSet) -> bool:
     """The summed channel maps every free-space basis element to a free operator."""
     p = ks.partition
-    blocks = _mixed_blocks(_row_block_maxima(ks.operators, p), p)
-    return _holds(_mbio_pairs(ks, blocks), ZERO_TOL)
+    support = _nonzero_blocks(_row_block_maxima(ks.operators, p), p, 0.0)
+    return _holds(_mbio_pairs(ks, _mixed_blocks(support)), ZERO_TOL)
 
 
 def sbio_commutation_deviation(ks: KrausSet, rho) -> float:
@@ -337,15 +366,18 @@ def classifier_report(ks: KrausSet, tol: float = ZERO_TOL) -> dict:
     p = ks.partition
     amax = _row_block_maxima(ks.operators, p)
     grid = _nonzero_blocks(amax, p, tol)
+    support = _nonzero_blocks(amax, p, 0.0)
+    mixed = _mixed_blocks(support)
     bio_structural = _single_block(grid, axis=1)
-    bio_semantic = _holds(_bio_pairs(amax, p), tol)
+    bio_semantic = _holds(_bio_pairs(amax, p, mixed), tol)
+    sbio_semantic = bio_semantic and _holds(_cross_pairs(amax, p, _shared_blocks(support)), tol)
     return {
         "cptp": verify_cptp(ks),
-        "mbio": _holds(_mbio_pairs(ks, _mixed_blocks(amax, p)), tol),
+        "mbio": _holds(_mbio_pairs(ks, mixed), tol),
         "bio_structural": bio_structural,
         "bio_semantic": bio_semantic,
         "sbio_structural": bio_structural and _single_block(grid, axis=2),
-        "sbio_semantic": bio_semantic and _holds(_cross_pairs(amax, p), tol),
+        "sbio_semantic": sbio_semantic,
         "tolerance": float(tol),
     }
 

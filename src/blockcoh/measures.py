@@ -3,22 +3,24 @@
 Two quantifiers are implemented relative to a block partition: the entropy
 gap S(dephase(rho)) - S(rho) and the entrywise sum of cross-block magnitudes.
 Both vanish exactly on free states and reduce to the standard rank-one
-coherence measures for all-ones partitions.  The probes sample random states
-and channels and report the worst observed violation of monotonicity, strong
-(selective) monotonicity and convexity; they report evidence, they do not
-prove the axioms.
+coherence measures for all-ones partitions.  The dephased state is block
+diagonal, so S(dephase(rho)) is taken from the spectra of rho's diagonal
+blocks, never from a whole d x d eigenproblem.  The probes sample random
+states and channels and report the worst observed violation of
+monotonicity, strong (selective) monotonicity and convexity; they report
+evidence, they do not prove the axioms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blockcore import BlockPartition, _as_stack, block_dephase, block_mask
+from .blockcore import BlockPartition, _as_stack, block_mask
 from .channels import KrausSet, apply_channel, branch_outputs, is_bio_semantic
-from .sampling import random_density_matrices
+from .sampling import _hs_states, random_density_matrices
 from .serialize import matrix_to_json
 
-# Negative eigenvalues beyond this window are treated as invalid input.
+# Eigenvalues more than this below 0 or above 1 are treated as invalid input.
 EIG_TOL = 1e-9
 # Selective branches below this probability are dropped.
 PROB_TOL = 1e-12
@@ -31,37 +33,87 @@ def _float_or_array(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def von_neumann_entropy(rho):
-    """Entropy -sum lambda log2 lambda in bits, with 0 log 0 = 0.
-
-    ``rho`` is one (d, d) state, giving a float, or a stack (..., d, d),
-    giving an array of shape (...).  Eigenvalues inside [-EIG_TOL, 0] are
-    clamped to zero; anything more negative, in any state of the stack,
-    raises, since that indicates a non-state rather than rounding noise.
-    Non-finite entries raise too.
-    """
+def _hermitian_part(rho) -> np.ndarray:
+    # (rho + rho^dag) / 2 of a state or stack; non-finite entries raise first
     rho = np.asarray(rho, dtype=complex)
     if not np.isfinite(rho).all():
         raise ValueError("input has non-finite entries")
     herm = rho.conj().swapaxes(-1, -2)
     herm += rho
     herm /= 2
-    vals = np.linalg.eigvalsh(herm)
+    return herm
+
+
+def _entropy_of_spectra(vals: np.ndarray):
+    """-sum lambda log2 lambda over the last axis of ascending eigenvalues.
+
+    Eigenvalues inside [-EIG_TOL, 0] are clamped to zero and those inside
+    [1, 1 + EIG_TOL] to one; anything further out, in any row, raises, since
+    no state has such an eigenvalue.
+    """
     lo = vals.min(initial=0.0)
     if lo < -EIG_TOL:
         raise ValueError(f"input is not positive semidefinite (min eigenvalue {lo:.3e})")
+    hi = vals.max(initial=0.0)
+    if hi > 1.0 + EIG_TOL:
+        raise ValueError(f"input has an eigenvalue above 1 (max eigenvalue {hi:.3e})")
     vals = np.clip(vals, 0.0, 1.0)
     # log2(1) = 0 in place of log2(0), so clamped eigenvalues add exactly 0
     logs = np.log2(np.where(vals > 0.0, vals, 1.0))
     return _float_or_array(-(vals * logs).sum(axis=-1))
 
 
+def von_neumann_entropy(rho):
+    """Entropy -sum lambda log2 lambda in bits, with 0 log 0 = 0.
+
+    ``rho`` is one (d, d) state, giving a float, or a stack (..., d, d),
+    giving an array of shape (...).  Eigenvalues inside [-EIG_TOL, 0] are
+    clamped to zero and those inside [1, 1 + EIG_TOL] to one; an eigenvalue
+    further out, in any state of the stack, raises, since that indicates a
+    non-state rather than rounding noise.  Non-finite entries raise too.
+    """
+    return _entropy_of_spectra(np.linalg.eigvalsh(_hermitian_part(rho)))
+
+
+def _dephased_spectra(partition: BlockPartition, herm: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., d) of block_dephase(partition, herm).
+
+    The dephased matrix is block diagonal, so its spectrum is the union of
+    its diagonal blocks' spectra: one stacked eigvalsh per block size, and
+    1 x 1 blocks read off the real diagonal.  Sorted, the values are summed
+    in the order eigvalsh of the whole dephased matrix gives them.
+    """
+    groups = {}  # block size -> the index range of each block of that size
+    for off, size in zip(partition.offsets, partition.dims):
+        groups.setdefault(size, []).append(range(off, off + size))
+    spectra = []
+    for size, ranges in groups.items():
+        idx = np.array(ranges)                                    # (m, size)
+        if size == 1:
+            spectra.append(herm[..., idx[:, 0], idx[:, 0]].real)
+        else:
+            blocks = herm[..., idx[:, :, None], idx[:, None, :]]  # (..., m, size, size)
+            vals = np.linalg.eigvalsh(blocks)
+            spectra.append(vals.reshape(vals.shape[:-2] + (-1,)))
+    vals = spectra[0] if len(spectra) == 1 else np.concatenate(spectra, axis=-1)
+    return np.sort(vals, axis=-1)
+
+
 def rel_entropy_block_coherence(partition: BlockPartition, rho):
     """Entropy gap S(dephase(rho)) - S(rho); zero exactly on free states.
 
     Takes one (d, d) state or a stack (..., d, d), like von_neumann_entropy.
+    S(dephase(rho)) comes from the diagonal blocks of rho, whose spectra
+    together are the spectrum of the block-diagonal dephased state.  It is
+    checked before S(rho), so a bad dephased spectrum is the error reported.
+    A free state is its own dephasing, so its gap is 0.0 exactly rather than
+    the rounding difference of two eigenvalue routines.
     """
-    return von_neumann_entropy(block_dephase(partition, rho)) - von_neumann_entropy(rho)
+    herm = _hermitian_part(_as_stack(partition, rho))
+    dephased = _entropy_of_spectra(_dephased_spectra(partition, herm))
+    gap = dephased - _entropy_of_spectra(np.linalg.eigvalsh(herm))
+    free = ~np.any(herm[..., ~block_mask(partition)] != 0.0, axis=-1)
+    return _float_or_array(np.where(free, 0.0, gap))
 
 
 def l1_block_coherence(partition: BlockPartition, rho):
@@ -71,6 +123,8 @@ def l1_block_coherence(partition: BlockPartition, rho):
     Takes one (d, d) state or a stack (..., d, d), like von_neumann_entropy.
     """
     rho = _as_stack(partition, rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("input has non-finite entries")
     off = ~block_mask(partition)
     # mask indexing of a stack leaves rows strided; contiguous rows make each
     # sum the same pairwise sum as for a single state
@@ -105,7 +159,9 @@ def _scan(trials: int, chunk):
 def _monotonicity_scan(measure, partition, channel, trials, seed):
     def chunk(ts):
         rhos = random_density_matrices(partition.total, [seed + t for t in ts])
-        return measure(partition, apply_channel(channel, rhos)) - measure(partition, rhos), rhos
+        # one measure call on the stack (2, T, d, d) of outputs and inputs
+        values = measure(partition, np.stack([apply_channel(channel, rhos), rhos]))
+        return values[0] - values[1], rhos
 
     return _scan(trials, chunk)
 
@@ -119,31 +175,38 @@ def _strong_monotonicity_scan(measure, partition, channel, trials, seed):
         outs /= np.where(live, probs, 1.0)[..., None, None]
         # dead branches are measured on the input state and masked out below
         np.copyto(outs, rhos[:, None], where=~live[..., None, None])
-        values = measure(partition, outs)
+        # one measure call: the input state is slot n, beside its n branches
+        values = measure(partition, np.concatenate([outs, rhos[:, None]], axis=1))
+        terms = np.where(live, probs * values[:, :-1], 0.0)
         avg = np.zeros(len(ts))
-        for n in range(probs.shape[1]):  # left to right, as a sum over branches
-            avg = avg + np.where(live[:, n], probs[:, n] * values[:, n], 0.0)
-        return avg - measure(partition, rhos), rhos
+        for term in terms.T:  # left to right, as a sum over branches
+            avg += term
+        return avg - values[:, -1], rhos
 
     return _scan(trials, chunk)
 
 
 def _convexity_scan(measure, partition, trials, seed):
+    d = partition.total
+
     def chunk(ts):
-        parts, weights, owner = [], [], []
+        normals, weights, owner = [], [], []
         for i, t in enumerate(ts):
+            # trial t draws k, its weights and its k states from seed + t, in this order
             rng = np.random.default_rng(seed + t)
             k = int(rng.integers(2, 5))
             weights.extend(rng.dirichlet(np.ones(k)))
-            parts.extend(random_density_matrices(partition.total, rng, count=k))
+            normals.append(rng.normal(size=(k, 2, d, d)))
             owner.extend([i] * k)
-        parts, weights = np.stack(parts), np.array(weights)
+        parts, weights = _hs_states(np.concatenate(normals)), np.array(weights)
         # np.add.at adds in index order, so each trial sums its parts left to right
-        mixes = np.zeros((len(ts),) + parts.shape[1:], dtype=complex)
+        mixes = np.zeros((len(ts), d, d), dtype=complex)
         np.add.at(mixes, owner, weights[:, None, None] * parts)
+        # one measure call: the T mixtures follow their parts
+        values = measure(partition, np.concatenate([parts, mixes]))
         avg = np.zeros(len(ts))
-        np.add.at(avg, owner, weights * measure(partition, parts))
-        return measure(partition, mixes) - avg, mixes
+        np.add.at(avg, owner, weights * values[:len(parts)])
+        return values[len(parts):] - avg, mixes
 
     return _scan(trials, chunk)
 
@@ -175,11 +238,13 @@ def monotonicity_probe(measure, partition: BlockPartition, channel: KrausSet,
     """Worst increase of ``measure`` under the full channel over random states.
 
     ``measure`` is a callable measure(partition, rho) that takes a stack of
-    states (T, d, d) and returns an array of T values, as both measures here
-    do; the probes evaluate up to PROBE_CHUNK trials per call.  Each trial
-    draws a fresh Hilbert-Schmidt state from seed + trial index, so results do
-    not depend on evaluation order.  Returns max(0, worst observed increase).
-    A NaN increase raises ValueError.
+    states (..., d, d) and returns an array of shape (...), one value per
+    state, as both measures here do.  The probes make one call per chunk of
+    up to PROBE_CHUNK trials, with the inputs and outputs in one stack; here
+    (2, T, d, d), the channel outputs first.  Each trial draws a fresh
+    Hilbert-Schmidt state from seed + trial index, so results do not depend
+    on evaluation order.  Returns max(0, worst observed increase).  A NaN
+    increase raises ValueError.
     """
     return _probe("monotonicity", measure, partition, channel, trials, seed)[0]
 
@@ -191,7 +256,8 @@ def strong_monotonicity_probe(measure, partition: BlockPartition, channel: Kraus
     Branch probabilities and post-measurement states come from the selective
     channel action; branches with probability at most PROB_TOL count zero.
     ``measure`` takes stacks, as in monotonicity_probe; here a stack of shape
-    (T, n, d, d) for n operators.
+    (T, n + 1, d, d): the n normalized branches of each trial, then its
+    input state.
     """
     return _probe("strong-monotonicity", measure, partition, channel, trials, seed)[0]
 
@@ -201,7 +267,8 @@ def convexity_probe(measure, partition: BlockPartition,
     """Worst convexity violation measure(mix) - sum_i p_i measure(rho_i).
 
     Each trial mixes 2 to 4 random states with Dirichlet weights.  ``measure``
-    takes stacks, as in monotonicity_probe.
+    takes stacks, as in monotonicity_probe; here the states of a chunk's
+    trials, then its T mixtures.
     """
     return _probe("convexity", measure, partition, None, trials, seed)[0]
 

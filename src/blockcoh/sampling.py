@@ -17,6 +17,13 @@ def ginibre(rng: np.random.Generator, *shape) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def _hs_states(normals: np.ndarray) -> np.ndarray:
+    """States G G^dag / tr from normals (T, 2, dim, dim), G = normals[:, 0] + i normals[:, 1]."""
+    g = normals[:, 0] + 1j * normals[:, 1]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
 def random_density_matrices(dim: int, seeds, count: int | None = None) -> np.ndarray:
     """Stack (T, dim, dim) of Hilbert-Schmidt random states: G G^dag normalized.
 
@@ -29,13 +36,12 @@ def random_density_matrices(dim: int, seeds, count: int | None = None) -> np.nda
     state bit for bit.
     """
     if count is None:
-        normals = [as_rng(s).normal(size=(2, dim, dim)) for s in seeds]
-        normals = np.array(normals).reshape(-1, 2, dim, dim)
+        normals = np.empty((len(seeds), 2, dim, dim))
+        for t, s in enumerate(seeds):
+            normals[t] = as_rng(s).normal(size=(2, dim, dim))
     else:
         normals = as_rng(seeds).normal(size=(count, 2, dim, dim))
-    g = normals[:, 0] + 1j * normals[:, 1]
-    rho = g @ g.conj().swapaxes(-1, -2)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return _hs_states(normals)
 
 
 def random_density_matrix(dim: int, seed=None) -> np.ndarray:

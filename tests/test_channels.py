@@ -655,6 +655,72 @@ def test_mbio_verdicts_match_the_whole_gram(monkeypatch):
     assert all(v == {True, False} for v in verdicts.values())
 
 
+def test_semantic_verdicts_match_every_block(monkeypatch):
+    # the BIO and SBIO verdicts reduce only the column blocks that their
+    # exact support leaves open (_mixed_blocks, _shared_blocks); the
+    # reductions over every block (no block list) are the oracle
+    whole = {"bio": channels._bio_pairs, "cross": channels._cross_pairs}
+    formed = {name: [] for name in whole}
+
+    def counted(name):
+        def pairs(amax, p, blocks=None):
+            for pair in whole[name](amax, p, blocks):
+                formed[name].append(pair)
+                yield pair
+        return pairs
+
+    monkeypatch.setattr(channels, "_bio_pairs", counted("bio"))
+    monkeypatch.setattr(channels, "_cross_pairs", counted("cross"))
+
+    def oracle(ks, tol):
+        amax = channels._row_block_maxima(ks.operators, ks.partition)
+        bio = list(whole["bio"](amax, ks.partition))
+        cross = list(whole["cross"](amax, ks.partition))
+        return {"bio_semantic": channels._verdict(bio, tol),
+                "sbio_semantic": channels._verdict(bio + cross, tol)}
+
+    rng = np.random.default_rng(24)
+    sets = [(seed % 8, ks) for dims in ORACLE_PARTITIONS
+            for seed, ks in enumerate(itertools.islice(oracle_sets(dims), 48))]
+    # leaks of exactly 1e-12, and entries of size ~1e-162, whose products
+    # underflow, all checked at tol 0 too
+    for dims in ((2, 3), (1, 1, 1), (2, 2)):
+        p = BlockPartition(dims)
+        for kind in ("bio", "sbio"):
+            member = gen_random(kind, p, 5).operators
+            zero = member == 0
+            sets += [(7, KrausSet(p, member + leak * zero * ginibre(rng, *member.shape)))
+                     for leak in (1e-12, 1e-162)]
+            sets.append((GEN_KINDS.index(kind), KrausSet(p, member * 1e-162)))
+        sets.append((6, KrausSet(p, random_cptp(p.total, 3, rng) * 1e-162)))
+    verdicts = {tol: set() for tol in (0.0, ZERO_TOL, 1e-6)}
+    for case, ks in sets:
+        cross_blocks = ks.partition.num_blocks > 1
+        for tol in verdicts:
+            want = oracle(ks, tol)
+            formed["bio"].clear(), formed["cross"].clear()
+            report = classifier_report(ks, tol)
+            assert report["bio_semantic"] == want["bio_semantic"][0], (ks.partition, case, tol)
+            assert report["sbio_semantic"] == want["sbio_semantic"][0], (ks.partition, case, tol)
+            if case < 3:  # BIO, SBIO and PBIO members: no BIO block is reduced
+                assert formed["bio"] == []
+            if case in (1, 2):  # SBIO and PBIO members: no cross block either
+                assert formed["cross"] == []
+            if case == 7 and cross_blocks:  # a leak: the reductions ran
+                assert formed["bio"] and (formed["cross"] or not report["bio_semantic"])
+            verdicts[tol].add(want["sbio_semantic"][0])
+        want = oracle(ks, ZERO_TOL)
+        for strict, name, holds in ((False, "bio_semantic", is_bio_semantic),
+                                    (True, "sbio_semantic", is_sbio_semantic)):
+            formed["bio"].clear(), formed["cross"].clear()
+            # the skipped deviations are exactly 0, so the worst one is the same bits
+            assert semantic_verdict(ks, strict) == want[name], (ks.partition, case, name)
+            if case == 7 and cross_blocks:
+                assert formed["bio"] and (formed["cross"] or not strict)
+            assert holds(ks) == want[name][0]
+    assert all(v == {True, False} for v in verdicts.values())
+
+
 def test_members_skip_the_whole_mbio_gram(monkeypatch):
     # BIO, SBIO and PBIO members, the classify-ladder kinds, form no Gram block
     calls = []

@@ -15,7 +15,7 @@ from blockcoh.measures import (
     strong_monotonicity_probe,
     von_neumann_entropy,
 )
-from blockcoh.sampling import haar_unitary, random_density_matrix
+from blockcoh.sampling import haar_unitary, random_density_matrices, random_density_matrix
 
 P23 = BlockPartition((2, 3))
 
@@ -42,6 +42,29 @@ def test_entropy_rejects_negative_input():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             von_neumann_entropy(np.diag([bad, 0.5]))
+        # a non-finite entry inside a diagonal block, where l1 sums nothing
+        ones = BlockPartition((1, 1))
+        for state in (np.diag([bad, 1.0]), np.stack([np.eye(2) / 2, np.diag([1.0, bad])])):
+            for measure in (rel_entropy_block_coherence, l1_block_coherence):
+                with pytest.raises(ValueError, match="non-finite"):
+                    measure(ones, state)
+
+
+def test_entropy_rejects_an_eigenvalue_above_one():
+    ones = BlockPartition((1, 1))
+    above = [np.diag([2.0, 0.0]), np.diag([1.5, 0.5]), np.array([[1.5, 0.4], [0.4, 0.5]])]
+    for bad in above:
+        for state in (bad, np.stack([np.eye(2) / 2, bad])):
+            with pytest.raises(ValueError, match="eigenvalue above 1"):
+                von_neumann_entropy(state)
+            with pytest.raises(ValueError, match="eigenvalue above 1"):
+                rel_entropy_block_coherence(ones, state)
+    # inside the window the eigenvalue is clamped to 1, as a negative one to 0
+    assert von_neumann_entropy(np.diag([1.0 + 1e-10, 0.0])) == 0.0
+    assert von_neumann_entropy(np.diag([1.0 + 1e-10, -1e-10])) == 0.0
+    # a negative eigenvalue is checked first
+    with pytest.raises(ValueError, match="positive"):
+        von_neumann_entropy(np.diag([1.5, -0.5]))
 
 
 def test_rel_entropy_examples():
@@ -307,6 +330,43 @@ def test_batched_probes_match_scalar_reference():
     assert worst_diff <= 1e-12
     # the negated measures gain on most runs, so offenders are compared, not only zeros
     assert positive >= 40
+
+
+# the oracle partitions of the channel tests; the verify suites measure on
+# (1,1), (2,3) and (1,2,2), the golden corpus on (1,1), (2,1) and (1,1,1)
+DEPHASING_PARTITIONS = [
+    (1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2), (1, 3),
+    (1, 1, 1), (1, 2, 2), (2, 1, 1), (1, 1, 1, 1), (3,),
+]
+BIT_EQUAL_PARTITIONS = {(1, 1), (2, 3), (1, 2, 2), (2, 1), (1, 1, 1)}
+
+
+def test_dephased_entropy_from_blocks_matches_the_whole_matrix():
+    # S(dephase(rho)) as before: one eigvalsh of the whole dephased matrix
+    rng = np.random.default_rng(24)
+    worst = 0.0
+    for dims in DEPHASING_PARTITIONS + [(4, 4, 4), (3, 5, 7), (1, 15), (2, 2, 2, 2)]:
+        p = BlockPartition(dims)
+        d = p.total
+        states = random_density_matrices(d, rng, count=120)
+        states[:20] = block_dephase(p, states[:20])            # free states
+        psi = rng.normal(size=(20, d)) + 1j * rng.normal(size=(20, d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        states[20:40] = psi[:, :, None] * psi[:, None, :].conj()  # pure states
+        states[40:50] = block_dephase(p, states[20:30])          # their dephasings
+        whole = block_dephase(p, states)
+        spectra = measures._dephased_spectra(p, measures._hermitian_part(states))
+        assert np.all(np.diff(spectra, axis=-1) >= 0.0)
+        assert np.max(np.abs(spectra - np.linalg.eigvalsh(whole))) <= 1e-14
+        got = rel_entropy_block_coherence(p, states)
+        ref = von_neumann_entropy(whole) - von_neumann_entropy(states)
+        # free states: exactly +0.0, also where the two spectra round apart
+        free = np.r_[0:20, 40:50]
+        assert np.all(got[free] == 0.0) and not np.signbit(got[free]).any(), dims
+        if dims in BIT_EQUAL_PARTITIONS:
+            assert np.array_equal(got, ref), dims
+        worst = max(worst, float(np.max(np.abs(got - ref))))
+    assert worst <= 1e-14
 
 
 def test_stacked_measures_equal_scalar_calls():
