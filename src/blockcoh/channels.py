@@ -16,14 +16,19 @@ They compute it from column block maxima, max |K[a, x]| over the rows a of
 one block: the entries of K|x><y|K^dag are K[a, x] conj(K[b, y]), so the
 block maxima give every per-pair deviation and scale exactly, and the
 verdicts are a restatement of the basis check rather than an approximation.
-The semantic and MBIO verdicts reduce only the column blocks where the exact
-support (entries of magnitude > 0) can make a deviation nonzero; in every
-other block each product in the deviation has an exact zero factor, so
-skipping it changes no verdict and no worst deviation.  The structural
-classifiers test the block sparsity pattern instead: at most one nonzero
-block in each column partition for BIO, at most one per column and per row
-partition for SBIO.  Structural membership implies semantic membership; both
-are exposed so the implication can be checked rather than assumed.
+The structural classifiers test the block sparsity pattern instead.  Both
+rest on one rule, which names the open column blocks of a pattern: those in
+which some operator is nonzero in two row blocks (``_mixed_blocks``) and, for
+SBIO, those in which some operator's row block is nonzero there and in
+another column block (``_shared_blocks``).  The structural keys hold when
+the pattern at the tolerance has no open block.  The semantic and MBIO
+reductions run only on the open blocks of the exact support (magnitude > 0):
+elsewhere every product in a deviation has an exact zero factor, so skipping
+a block changes no verdict and no worst deviation.  Structural membership
+implies semantic membership; both are exposed so the implication can be
+checked rather than assumed.  Kraus entries are at most ``MAX_ENTRY`` =
+2**500 in magnitude, so no product (at most 2**1000), sum of up to 2**23
+products or threshold overflows.
 
 A constructor for physically realizable free channels is included: a free
 ancilla state, a permutation-with-phases joint unitary and a block projective
@@ -51,6 +56,8 @@ from .sampling import as_rng, ginibre, haar_unitary
 
 # Completeness tolerance for sum K^dag K = I.
 CPTP_TOL = 1e-9
+# Largest magnitude of a Kraus entry (see the module docstring).
+MAX_ENTRY = 2.0 ** 500
 # Entries of one Gram panel of the MBIO check (16 bytes each as computed).
 MBIO_PANEL = 1 << 16
 
@@ -80,8 +87,8 @@ class KrausSet:
                 f"operators must be {d}x{d} for partition {self.partition}, "
                 f"got {ops.shape[1]}x{ops.shape[2]}"
             )
-        if not np.all(np.isfinite(ops)):
-            raise ValueError("Kraus operators must have finite entries")
+        if not np.all(np.abs(ops) <= MAX_ENTRY):  # NaN fails too
+            raise ValueError("Kraus operators must have finite entries of magnitude at most 2**500")
         self.operators = ops
 
     @property
@@ -142,40 +149,59 @@ def _nonzero_blocks(amax: np.ndarray, partition: BlockPartition, tol: float) -> 
     return peaks > zero_threshold(peaks.max(axis=(1, 2), keepdims=True), tol)
 
 
-def _pattern(ops: np.ndarray, partition: BlockPartition) -> np.ndarray:
-    # the block pattern at ZERO_TOL, which the structural classifiers test
-    return _nonzero_blocks(_row_block_maxima(ops, partition), partition, ZERO_TOL)
+def _grid(ks: KrausSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, pattern): the _row_block_maxima of the operators and their block pattern at ``tol``."""
+    amax = _row_block_maxima(ks.operators, ks.partition)
+    return amax, _nonzero_blocks(amax, ks.partition, tol)
 
 
-def _single_block(grid: np.ndarray, axis: int) -> bool:
-    # at most one nonzero block along ``axis`` of every operator's grid
-    return bool(np.all(grid.sum(axis=axis) <= 1))
+def _mixed_blocks(pattern: np.ndarray) -> np.ndarray:
+    """The column blocks in which some operator of ``pattern`` is nonzero in two row blocks.
+
+    None is open exactly when the pattern is BIO.  In the exact support (the
+    pattern at tol 0) every other column block has each operator's columns
+    in one row block, so each cross-block product K_n[a, x] conj(K_n[b, y])
+    has an exact zero factor: the BIO deviation of every branch and the
+    summed cross block of the MBIO Gram are exactly 0 at every tolerance.
+    """
+    return np.flatnonzero((pattern.sum(axis=1) > 1).any(axis=0))
+
+
+def _shared_blocks(pattern: np.ndarray) -> np.ndarray:
+    """The column blocks l where some operator's row block is nonzero in l and elsewhere.
+
+    With no mixed block, none is open exactly when the pattern is SBIO.  In
+    the exact support, every other on-block product K_n[a, x] conj(K_n[b, y])
+    (x in l, y outside l, a and b in one row block) has an exact zero factor:
+    the SBIO cross deviation is exactly 0.
+    """
+    spread = pattern & (pattern.sum(axis=2, keepdims=True) > 1)
+    return np.flatnonzero(spread.any(axis=(0, 1)))
 
 
 def block_pattern(op, partition: BlockPartition) -> np.ndarray:
     """Boolean (k, k) grid: True where the (row, col) block holds a nonzero entry.
 
     An entry is nonzero when it exceeds the scale-relative threshold of the
-    whole operator.  An operator with a NaN or infinite entry is a ValueError.
+    whole operator.  The entries must pass KrausSet's check (finite, at most
+    MAX_ENTRY in magnitude); otherwise it is a ValueError.
     """
     op = np.asarray(op, dtype=complex)
     d = partition.total
     if op.shape != (d, d):
         raise ValueError(f"operator has shape {op.shape}, expected ({d}, {d})")
-    if not np.all(np.isfinite(op)):
-        raise ValueError("operator must have finite entries")
-    return _pattern(op[None], partition)[0]
+    return _grid(KrausSet(partition, op), ZERO_TOL)[1][0]
 
 
 def is_bio_structural(ks: KrausSet) -> bool:
     """Every operator has at most one nonzero block in each column partition."""
-    return _single_block(_pattern(ks.operators, ks.partition), axis=1)
+    return not _mixed_blocks(_grid(ks, ZERO_TOL)[1]).size
 
 
 def is_sbio_structural(ks: KrausSet) -> bool:
     """At most one nonzero block per column partition and per row partition."""
-    grid = _pattern(ks.operators, ks.partition)
-    return _single_block(grid, axis=1) and _single_block(grid, axis=2)
+    pattern = _grid(ks, ZERO_TOL)[1]
+    return not (_mixed_blocks(pattern).size or _shared_blocks(pattern).size)
 
 
 # The semantic classifiers test K|x><y|K^dag over elementary basis pairs
@@ -186,60 +212,31 @@ def is_sbio_structural(ks: KrausSet) -> bool:
 # column at a time, and a pair passes when deviation <= zero_threshold(scale).
 
 
-def _bio_pairs(amax: np.ndarray, p: BlockPartition, blocks=None):
+def _bio_pairs(amax: np.ndarray, p: BlockPartition, blocks):
     """Same-block pairs: the worst cross-block entry over all branches.
 
-    ``blocks`` limits the column blocks (the verdicts pass _mixed_blocks);
-    None is every block.
+    ``blocks`` lists the column blocks (the verdicts pass _mixed_blocks).
     """
     cross = ~np.eye(p.num_blocks, dtype=bool)
-    for l in (range(p.num_blocks) if blocks is None else blocks):
+    for l in blocks:
         a = amax[:, :, p.block_slice(l)]
         prod = a[:, :, None, :, None] * a[:, None, :, None, :]  # (n, r, s, x, y)
         yield prod[:, cross].max(axis=(0, 1), initial=0.0), prod.max(axis=(0, 1, 2))
 
 
-def _cross_pairs(amax: np.ndarray, p: BlockPartition, blocks=None):
+def _cross_pairs(amax: np.ndarray, p: BlockPartition, blocks):
     """Cross-block pairs: the worst on-block entry, SBIO's extra condition.
 
-    ``blocks`` limits the column blocks (the verdicts pass _shared_blocks);
-    None is every block.
+    ``blocks`` lists the column blocks (the verdicts pass _shared_blocks).
     """
     labels = block_labels(p)
-    for l in (range(p.num_blocks) if blocks is None else blocks):
+    for l in blocks:
         a, b = amax[:, :, labels == l], amax[:, :, labels != l]
         on = (a[:, :, :, None] * b[:, :, None, :]).max(axis=(0, 1))
         yield on, (a.max(axis=1)[:, :, None] * b.max(axis=1)[:, None, :]).max(axis=0)
 
 
-def _mixed_blocks(support: np.ndarray) -> np.ndarray:
-    """The column blocks in which some operator is exactly nonzero in two row blocks.
-
-    ``support`` is the exact support, the _nonzero_blocks pattern at tol 0
-    (a magnitude > 0, not a threshold).  In any other column block l every
-    operator's columns lie in one row block, so each cross-block product
-    K_n[a, x] conj(K_n[b, y]) has an exact zero factor: the BIO deviation of
-    every branch and the summed cross block of the MBIO Gram are exactly 0
-    and pass at every tolerance >= 0.  This is BIO inside MBIO, read off the
-    exact support.
-    """
-    return np.flatnonzero((support.sum(axis=1) > 1).any(axis=0))
-
-
-def _shared_blocks(support: np.ndarray) -> np.ndarray:
-    """The column blocks l where some operator's row block is exactly nonzero in l and elsewhere.
-
-    In any other column block l, a row block of an operator that is nonzero
-    in l is zero in every other column block, so each on-block product
-    K_n[a, x] conj(K_n[b, y]) (x in l, y outside l, a and b in one row
-    block) has an exact zero factor: the SBIO cross deviation is exactly 0.
-    ``support`` is the exact support, as for _mixed_blocks.
-    """
-    spread = support & (support.sum(axis=2, keepdims=True) > 1)
-    return np.flatnonzero(spread.any(axis=(0, 1)))
-
-
-def _mbio_pairs(ks: KrausSet, blocks=None):
+def _mbio_pairs(ks: KrausSet, blocks):
     """Same-block pairs of the summed output sum_n K_n|x><y|K_n^dag.
 
     The sum over branches does not factor into block maxima, so each column
@@ -249,12 +246,11 @@ def _mbio_pairs(ks: KrausSet, blocks=None):
     least), and its magnitudes are laid out as [a, b, x, y], so a pair's
     scale is the maximum over the two leading axes and its deviation the
     same maximum over the (a, b) in different blocks only.  ``blocks``
-    limits the column blocks (the verdicts pass _mixed_blocks); None is
-    every block.
+    lists the column blocks (the verdicts pass _mixed_blocks).
     """
     p, ops = ks.partition, ks.operators
     d, off = p.total, ~block_mask(p)[:, :, None, None]
-    for l in (range(p.num_blocks) if blocks is None else blocks):
+    for l in blocks:
         dc = p.dims[l]
         cols = ops[:, :, p.block_slice(l)].reshape(len(ops), d * dc)
         right = cols.conj()
@@ -270,7 +266,9 @@ def _mbio_pairs(ks: KrausSet, blocks=None):
 
 
 def _holds(pairs, tol: float) -> bool:
-    # stops at the first failing pair array
+    # stops at the first failing pair array; the predicates and the report
+    # keep this apart from _verdict, whose full pass made a BIO member's SBIO
+    # check reduce every shared block (classify-ladder measured slower)
     return all(np.all(dev <= zero_threshold(scale, tol)) for dev, scale in pairs)
 
 
@@ -286,12 +284,10 @@ def _verdict(pairs, tol: float) -> tuple[bool, float]:
 def _semantic_pairs(ks: KrausSet, strict: bool):
     # the BIO pairs and, if ``strict``, the SBIO cross pairs, each over the
     # column blocks its exact support leaves open
-    p = ks.partition
-    amax = _row_block_maxima(ks.operators, p)
-    support = _nonzero_blocks(amax, p, 0.0)
-    pairs = _bio_pairs(amax, p, _mixed_blocks(support))
+    amax, support = _grid(ks, 0.0)
+    pairs = _bio_pairs(amax, ks.partition, _mixed_blocks(support))
     if strict:
-        pairs = itertools.chain(pairs, _cross_pairs(amax, p, _shared_blocks(support)))
+        pairs = itertools.chain(pairs, _cross_pairs(amax, ks.partition, _shared_blocks(support)))
     return pairs
 
 
@@ -327,9 +323,7 @@ def is_sbio_semantic(ks: KrausSet) -> bool:
 
 def is_mbio(ks: KrausSet) -> bool:
     """The summed channel maps every free-space basis element to a free operator."""
-    p = ks.partition
-    support = _nonzero_blocks(_row_block_maxima(ks.operators, p), p, 0.0)
-    return _holds(_mbio_pairs(ks, _mixed_blocks(support)), ZERO_TOL)
+    return _holds(_mbio_pairs(ks, _mixed_blocks(_grid(ks, 0.0)[1])), ZERO_TOL)
 
 
 def sbio_commutation_deviation(ks: KrausSet, rho) -> float:
@@ -364,11 +358,10 @@ def classifier_report(ks: KrausSet, tol: float = ZERO_TOL) -> dict:
     """
     _check_tolerance(tol)
     p = ks.partition
-    amax = _row_block_maxima(ks.operators, p)
-    grid = _nonzero_blocks(amax, p, tol)
+    amax, pattern = _grid(ks, tol)
     support = _nonzero_blocks(amax, p, 0.0)
     mixed = _mixed_blocks(support)
-    bio_structural = _single_block(grid, axis=1)
+    bio_structural = not _mixed_blocks(pattern).size
     bio_semantic = _holds(_bio_pairs(amax, p, mixed), tol)
     sbio_semantic = bio_semantic and _holds(_cross_pairs(amax, p, _shared_blocks(support)), tol)
     return {
@@ -376,7 +369,7 @@ def classifier_report(ks: KrausSet, tol: float = ZERO_TOL) -> dict:
         "mbio": _holds(_mbio_pairs(ks, mixed), tol),
         "bio_structural": bio_structural,
         "bio_semantic": bio_semantic,
-        "sbio_structural": bio_structural and _single_block(grid, axis=2),
+        "sbio_structural": bio_structural and not _shared_blocks(pattern).size,
         "sbio_semantic": sbio_semantic,
         "tolerance": float(tol),
     }
@@ -446,7 +439,7 @@ def has_scaled_isometry_blocks(ks: KrausSet) -> bool:
     """
     p = ks.partition
     dims, offsets = np.array(p.dims), np.array(p.offsets)
-    n, r, c = np.nonzero(_pattern(ks.operators, p))
+    n, r, c = np.nonzero(_grid(ks, ZERO_TOL)[1])
     # one stacked Gram product per (row size, column size) of nonzero block
     for dr, dc in set(zip(dims[r].tolist(), dims[c].tolist())):
         pick = (dims[r] == dr) & (dims[c] == dc)

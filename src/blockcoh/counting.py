@@ -63,13 +63,13 @@ def bio_bound(partition: BlockPartition) -> BoundReport:
     return BoundReport(partition, "bio", tuple(per_level), sum(per_level))
 
 
-def sbio_bound(partition: BlockPartition, max_blocks: int = MAX_SBIO_BLOCKS) -> BoundReport:
+def sbio_bound(partition: BlockPartition) -> BoundReport:
     """Sum the injective-tuple products, exactly, by a DP over used row sets."""
     dims = partition.dims
     k = len(dims)
-    if k > max_blocks:
+    if k > MAX_SBIO_BLOCKS:
         raise ValueError(
-            f"partition has {k} blocks; the row-set DP is capped at {max_blocks}"
+            f"partition has {k} blocks; the row-set DP is capped at {MAX_SBIO_BLOCKS}"
         )
     ways = {0: 1}  # bitmask of used row blocks -> summed products
     per_level = [0] * k

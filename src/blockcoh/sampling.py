@@ -44,12 +44,12 @@ def random_density_matrices(dim: int, seeds, count: int | None = None) -> np.nda
     return _hs_states(normals)
 
 
-def random_density_matrix(dim: int, seed=None) -> np.ndarray:
+def random_density_matrix(dim: int, seed) -> np.ndarray:
     """Hilbert-Schmidt random state: G G^dag normalized, G square Ginibre."""
     return random_density_matrices(dim, [seed])[0]
 
 
-def haar_unitary(dim: int, seed=None) -> np.ndarray:
+def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase correction."""
     rng = as_rng(seed)
     q, r = np.linalg.qr(ginibre(rng, dim, dim))
@@ -57,7 +57,7 @@ def haar_unitary(dim: int, seed=None) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def random_povm(dim: int, n_effects: int, seed=None) -> np.ndarray:
+def random_povm(dim: int, n_effects: int, seed) -> np.ndarray:
     """n Wishart-like positive blocks normalized so they sum to identity."""
     rng = as_rng(seed)
     raw = []
@@ -70,7 +70,7 @@ def random_povm(dim: int, n_effects: int, seed=None) -> np.ndarray:
     return np.array([inv_sqrt @ w @ inv_sqrt for w in raw])
 
 
-def random_cptp(dim: int, n_ops: int, seed=None) -> np.ndarray:
+def random_cptp(dim: int, n_ops: int, seed) -> np.ndarray:
     """Dense random channel: slices of a Haar isometry, so sum K^dag K = I."""
     rng = as_rng(seed)
     iso = haar_unitary(dim * n_ops, rng)[:, :dim]

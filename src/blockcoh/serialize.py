@@ -327,7 +327,11 @@ def kraus_from_json(obj) -> KrausSet:
     dim = _dim_from_json(obj, partition.total)
     if dim != partition.total:
         raise SchemaError(f"dim {dim} does not match partition total {partition.total}")
-    return KrausSet(partition, _matrices_from_json(obj, "kraus", "operator", dim))
+    ops = _matrices_from_json(obj, "kraus", "operator", dim)
+    try:
+        return KrausSet(partition, ops)
+    except ValueError as exc:  # an entry above channels.MAX_ENTRY in magnitude
+        raise SchemaError(str(exc)) from exc
 
 
 def povm_to_json(povm: Povm) -> dict:

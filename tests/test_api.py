@@ -4,7 +4,7 @@ import ast
 import inspect
 
 import blockcoh
-from blockcoh import channels
+from blockcoh import channels, sampling
 
 
 def package_imports():
@@ -32,3 +32,13 @@ def test_only_two_public_callables_take_a_tolerance():
     tuned = sorted(fn.__name__ for fn in candidates + [channels.semantic_verdict]
                    if inspect.isfunction(fn) and "tol" in inspect.signature(fn).parameters)
     assert tuned == ["classifier_report", "is_block_incoherent"]
+
+
+def test_no_public_generator_has_a_default_seed():
+    # a default would draw OS entropy; every caller passes its seed
+    public = [fn for name, fn in vars(sampling).items()
+              if inspect.isfunction(fn) and not name.startswith("_")]
+    seeded = {fn.__name__: param for fn in public
+              for name, param in inspect.signature(fn).parameters.items() if name.startswith("seed")}
+    assert {"haar_unitary", "random_cptp", "random_density_matrix", "random_povm"} <= set(seeded)
+    assert [name for name, param in seeded.items() if param.default is not param.empty] == []

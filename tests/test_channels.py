@@ -60,13 +60,33 @@ def test_kraus_set_validation():
         KrausSet(P23, np.empty((0, 5, 5)))
     with pytest.raises(ValueError):
         KrausSet(P23, np.zeros((2, 4, 4)))
-    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+    # above 2**500 a product of two entries, or a sum of them, can overflow
+    for bad in (np.nan, np.inf, complex(0, -np.inf), 1e155, 2.0 ** 500 * (1 + 2 ** -52),
+                complex(2.0 ** 500, 2.0 ** 500), complex(1e308, 1e308)):
         ops = np.eye(5, dtype=complex)
         ops[3, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite entries of magnitude at most 2\\*\\*500"):
             KrausSet(P23, ops)
+    assert KrausSet(P23, np.eye(5) * 2.0 ** 500).operators[0, 0, 0] == channels.MAX_ENTRY
     ks = KrausSet(P23, np.eye(5))  # single operator is promoted to a set
     assert ks.n_operators == 1 and ks.dim == 5
+
+
+def test_classifiers_do_not_overflow_at_the_entry_bound():
+    # at 1e155 the products overflowed to inf and every inf <= inf threshold
+    # passed; at the bound they are at most 2**1000 and the verdicts hold
+    x = channels.MAX_ENTRY
+    dense = KrausSet(BlockPartition((1, 1)), np.full((2, 2), x))
+    diagonal = KrausSet(BlockPartition((1, 1, 1, 1)), np.full((4, 4, 4), x) * np.eye(4))
+    with np.errstate(all="raise"):
+        for tol in (0.0, ZERO_TOL):
+            assert not any(classifier_report(dense, tol)[key]
+                           for key in ("cptp", "mbio", "bio_semantic", "sbio_semantic"))
+            report = classifier_report(diagonal, tol)
+            assert not report["cptp"] and report["mbio"] and report["sbio_semantic"]
+        assert semantic_verdict(dense) == (False, x * x)
+        assert semantic_verdict(diagonal, strict=True) == (True, 0.0)
+        assert cptp_deviation(diagonal) == 4 * x * x - 1
 
 
 def test_verify_cptp_examples():
@@ -132,7 +152,9 @@ def test_block_pattern_examples():
     with pytest.raises(ValueError):
         block_pattern(np.eye(4), P23)
     # a NaN or infinite scale would turn every threshold test False
-    for op in ([[1, np.nan], [np.nan, 1]], [[np.inf, 0], [0, 1]]):
+    # and so would a scale of 1e200, whose products overflow
+    for op in ([[1, np.nan], [np.nan, 1]], [[np.inf, 0], [0, 1]], [[1e200, 0], [0, 1e200]],
+               [[1e155, 1e155], [1e155, 1e155]]):
         with pytest.raises(ValueError, match="finite"):
             block_pattern(np.array(op), BlockPartition((1, 1)))
 
@@ -508,7 +530,8 @@ def test_block_maxima_classifiers_match_basis_loops():
     classes = {
         "bio_semantic": (is_bio_semantic, semantic_verdict),
         "sbio_semantic": (is_sbio_semantic, lambda ks: semantic_verdict(ks, True)),
-        "mbio": (is_mbio, lambda ks: channels._verdict(channels._mbio_pairs(ks), ZERO_TOL)),
+        "mbio": (is_mbio, lambda ks: channels._verdict(
+            channels._mbio_pairs(ks, range(ks.partition.num_blocks)), ZERO_TOL)),
     }
     count = 0
     verdicts = {name: set() for name in classes}
@@ -528,6 +551,24 @@ def test_block_maxima_classifiers_match_basis_loops():
     assert count >= 3000
     # the sample holds sets on both sides of every verdict
     assert all(v == {True, False} for v in verdicts.values())
+
+
+def test_structural_verdicts_count_the_blocks_of_the_reference_pattern():
+    # BIO: every operator has at most one nonzero block of its reference
+    # pattern in each column partition; SBIO: also in each row partition
+    verdicts = {tol: set() for tol in (0.0, ZERO_TOL, 1e-6)}
+    for dims in ORACLE_PARTITIONS:
+        for ks in oracle_sets(dims):
+            for tol in verdicts:
+                grids = [reference_block_pattern(op, ks.partition, tol) for op in ks.operators]
+                bio = all(grid.sum(axis=0).max() <= 1 for grid in grids)
+                sbio = bio and all(grid.sum(axis=1).max() <= 1 for grid in grids)
+                report = classifier_report(ks, tol)
+                assert (report["bio_structural"], report["sbio_structural"]) == (bio, sbio), (dims, tol)
+                if tol == ZERO_TOL:
+                    assert (is_bio_structural(ks), is_sbio_structural(ks)) == (bio, sbio), dims
+                verdicts[tol].add((bio, sbio))
+    assert all(v == {(True, True), (True, False), (False, False)} for v in verdicts.values())
 
 
 def test_semantic_verdict_is_both_halves_of_one_pass():
@@ -582,7 +623,7 @@ def test_mbio_panels_match_whole_gram(monkeypatch, budget):
     for ks in [ks for dims in PANEL_PARTITIONS for ks in panel_sets(dims)] + [
             ks for dims in ORACLE_PARTITIONS for ks in itertools.islice(oracle_sets(dims), 16)]:
         want = list(reference_mbio_pairs(ks))
-        got = list(channels._mbio_pairs(ks))
+        got = list(channels._mbio_pairs(ks, range(ks.partition.num_blocks)))
         assert len(got) == len(want)
         for (dev, scale), (want_dev, want_scale) in zip(got, want):
             assert dev.shape == want_dev.shape and scale.shape == want_scale.shape
@@ -613,11 +654,11 @@ def test_mbio_panel_stays_within_its_budget():
 def test_mbio_verdicts_match_the_whole_gram(monkeypatch):
     # classifier_report and is_mbio form the Gram only for column blocks
     # where some operator is exactly nonzero in two row blocks; the Gram of
-    # every block (_mbio_pairs with no block list) is the oracle
+    # every block (_mbio_pairs over range(k)) is the oracle
     whole = channels._mbio_pairs
     formed = []
 
-    def counted(ks, blocks=None):
+    def counted(ks, blocks):
         for pair in whole(ks, blocks):
             formed.append(pair)
             yield pair
@@ -640,7 +681,7 @@ def test_mbio_verdicts_match_the_whole_gram(monkeypatch):
     for case, ks in sets:
         cross_blocks = ks.partition.num_blocks > 1
         for tol in verdicts:
-            want = channels._holds(whole(ks), tol)
+            want = channels._holds(whole(ks, range(ks.partition.num_blocks)), tol)
             formed.clear()
             assert classifier_report(ks, tol)["mbio"] == want, (ks.partition, case, tol)
             if case < 3:  # BIO, SBIO and PBIO members: every block is skipped
@@ -649,7 +690,7 @@ def test_mbio_verdicts_match_the_whole_gram(monkeypatch):
                 assert formed
             verdicts[tol].add(want)
         formed.clear()
-        assert is_mbio(ks) == channels._holds(whole(ks), ZERO_TOL)
+        assert is_mbio(ks) == channels._holds(whole(ks, range(ks.partition.num_blocks)), ZERO_TOL)
         if case == 7 and cross_blocks:
             assert formed
     assert all(v == {True, False} for v in verdicts.values())
@@ -658,12 +699,12 @@ def test_mbio_verdicts_match_the_whole_gram(monkeypatch):
 def test_semantic_verdicts_match_every_block(monkeypatch):
     # the BIO and SBIO verdicts reduce only the column blocks that their
     # exact support leaves open (_mixed_blocks, _shared_blocks); the
-    # reductions over every block (no block list) are the oracle
+    # reductions over every block (range(k)) are the oracle
     whole = {"bio": channels._bio_pairs, "cross": channels._cross_pairs}
     formed = {name: [] for name in whole}
 
     def counted(name):
-        def pairs(amax, p, blocks=None):
+        def pairs(amax, p, blocks):
             for pair in whole[name](amax, p, blocks):
                 formed[name].append(pair)
                 yield pair
@@ -674,8 +715,9 @@ def test_semantic_verdicts_match_every_block(monkeypatch):
 
     def oracle(ks, tol):
         amax = channels._row_block_maxima(ks.operators, ks.partition)
-        bio = list(whole["bio"](amax, ks.partition))
-        cross = list(whole["cross"](amax, ks.partition))
+        every = range(ks.partition.num_blocks)
+        bio = list(whole["bio"](amax, ks.partition, every))
+        cross = list(whole["cross"](amax, ks.partition, every))
         return {"bio_semantic": channels._verdict(bio, tol),
                 "sbio_semantic": channels._verdict(bio + cross, tol)}
 
@@ -725,7 +767,7 @@ def test_members_skip_the_whole_mbio_gram(monkeypatch):
     # BIO, SBIO and PBIO members, the classify-ladder kinds, form no Gram block
     calls = []
     monkeypatch.setattr(channels, "_mbio_pairs",
-                        lambda ks, blocks=None: calls.append(list(blocks)) or iter(()))
+                        lambda ks, blocks: calls.append(list(blocks)) or iter(()))
     for dims in ((2, 3), (3, 5, 7), (1,) * 8, (8, 8, 8, 8)):
         for kind in ("bio", "sbio", "pbio"):
             ks = gen_random(kind, BlockPartition(dims), 3)

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,17 @@ def test_classify_rejects_non_finite_entries(tmp_path, capsys):
         assert code == 1 and out == ""
         message = json.loads(err)
         assert message["kind"] == "parse" and "not finite" in message["error"]
+    # finite entries whose products overflow are a parse error too, with no warning
+    for bad in ([1e155, 0.0], [0.0, -1e200], [1.7e308, 1.7e308]):
+        obj = kraus_to_json(KrausSet(BlockPartition((2, 3)), np.eye(5)))
+        obj["kraus"][0][3][1] = bad
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, "classify", str(path)) == (1, "", json.dumps({
+                "error": "Kraus operators must have finite entries of magnitude at most 2**500",
+                "kind": "parse"}) + "\n")
 
 
 def test_runtime_error_is_one_json_line(tmp_path, capsys, monkeypatch):

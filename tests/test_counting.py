@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from blockcoh import verify
+from blockcoh import counting, verify
 from blockcoh.blockcore import BlockPartition
 from blockcoh.channels import gen_random
 from blockcoh.counting import (
@@ -109,11 +109,12 @@ def test_report_invariants():
         BoundReport(BlockPartition((2,)), "bio", (3,), 4)
 
 
-def test_block_count_cap():
+def test_block_count_cap(monkeypatch):
     with pytest.raises(ValueError, match="capped"):
         sbio_bound(BlockPartition([1] * 9))
-    # the cap is configurable
-    assert sbio_bound(BlockPartition([1] * 9), max_blocks=9).total > 0
+    # the cap is the module constant
+    monkeypatch.setattr(counting, "MAX_SBIO_BLOCKS", 9)
+    assert sbio_bound(BlockPartition([1] * 9)).total > 0
 
 
 def test_generated_channels_stay_within_bounds():
