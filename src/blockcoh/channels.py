@@ -122,7 +122,10 @@ def branch_outputs(ks: KrausSet, rho) -> np.ndarray:
     """
     rho = _as_stack(ks.partition, rho)
     ops = ks.operators
-    return ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)
+    n, d = ops.shape[:2]
+    # every K_n rho of one state is one product of the (n*d, d) stacked operators
+    left = (ops.reshape(n * d, d) @ rho).reshape(rho.shape[:-2] + (n, d, d))
+    return left @ ops.conj().swapaxes(-1, -2)
 
 
 def apply_channel(ks: KrausSet, rho) -> np.ndarray:

@@ -13,10 +13,16 @@ row choices:
     C_p = sum over injective tuples (i_p, ..., i_k) of
           prod_{l=p..k} (2**(d_{i_l} * d_l) - 1).
 
-These sums are evaluated by a dynamic program over the set S of row blocks
-already used, from level k down: f(S + {r}) += f(S) * (2**(d_r * d_l) - 1)
-for every row block r outside S, and C_l is the sum of f over the sets of
-size k - l + 1.  It visits at most 2**k sets instead of k! tuples.
+The weight 2**(d_r * d_l) - 1 of a row block r depends only on its size,
+so these sums are evaluated by a dynamic program over how many row blocks of
+each size are already used, from level k down: with m_s blocks of size s of
+which u_s are used, placing level l on a size-s block multiplies by
+(m_s - u_s) * (2**(s * d_l) - 1), and C_l is the sum over the states that
+use k - l + 1 blocks.  A state is one mixed-radix integer with digit u_s, so
+there are prod_s (m_s + 1) states: k + 1 for k equal blocks, and 2**k only
+when every size differs.  The BIO factor likewise depends only on the size
+multiset, sum_s m_s (2**(s * d_i) - 1), so each distinct size's factor is
+computed once.
 
 All-ones partitions collapse these to the closed forms d(d**d - 1)/(d - 1)
 and sum_k d!/(k-1)! of the rank-one theory.
@@ -25,13 +31,14 @@ and sum_k d!/(k-1)! of the rank-one theory.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .blockcore import BlockPartition
 
-# The subset DP holds up to 2**k row sets; the cap stays at the largest block
-# count whose running time has been measured.
-MAX_SBIO_BLOCKS = 8
+# Largest number of size-count states prod_s (m_s + 1) of the SBIO DP; its
+# running time at the cap is measured in the README.
+MAX_SBIO_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -53,34 +60,41 @@ class BoundReport:
 def bio_bound(partition: BlockPartition) -> BoundReport:
     """Evaluate the column-pattern recurrence, exactly."""
     dims = partition.dims
-    k = len(dims)
-    per_level = [0] * k
+    sizes = Counter(dims)
+    # the level factor sum_j (2**(d_j d_i) - 1), once per distinct size d_i
+    factors = {d: sum(m * (2 ** (s * d) - 1) for s, m in sizes.items()) for d in sizes}
+    per_level = [0] * len(dims)
     c_next = 1
-    for i in range(k, 0, -1):
-        factor = sum(2 ** (dims[j] * dims[i - 1]) - 1 for j in range(k))
-        c_next = factor * c_next
-        per_level[i - 1] = c_next
+    for i in range(len(dims) - 1, -1, -1):
+        c_next = factors[dims[i]] * c_next
+        per_level[i] = c_next
     return BoundReport(partition, "bio", tuple(per_level), sum(per_level))
 
 
 def sbio_bound(partition: BlockPartition) -> BoundReport:
-    """Sum the injective-tuple products, exactly, by a DP over used row sets."""
+    """Sum the injective-tuple products, exactly, by a DP over used block sizes."""
     dims = partition.dims
-    k = len(dims)
-    if k > MAX_SBIO_BLOCKS:
+    sizes = sorted(Counter(dims).items())  # (size, multiplicity m_s)
+    strides, states = [], 1
+    for _, m in sizes:
+        strides.append(states)
+        states *= m + 1
+    if states > MAX_SBIO_STATES:
         raise ValueError(
-            f"partition has {k} blocks; the row-set DP is capped at {MAX_SBIO_BLOCKS}"
+            f"partition has {states} size-count states; the SBIO DP is capped at {MAX_SBIO_STATES}"
         )
-    ways = {0: 1}  # bitmask of used row blocks -> summed products
-    per_level = [0] * k
-    for level in range(k - 1, -1, -1):
-        weights = [2 ** (d_row * dims[level]) - 1 for d_row in dims]
+    ways = {0: 1}  # mixed-radix used counts u_s -> summed products
+    per_level = [0] * len(dims)
+    for level in range(len(dims) - 1, -1, -1):
+        steps = [(stride, m, 2 ** (s * dims[level]) - 1)
+                 for (s, m), stride in zip(sizes, strides)]
         reached: dict[int, int] = {}
         for used, count in ways.items():
-            for row, weight in enumerate(weights):
-                bit = 1 << row
-                if not used & bit:
-                    reached[used | bit] = reached.get(used | bit, 0) + count * weight
+            for stride, m, weight in steps:
+                free = m - used // stride % (m + 1)
+                if free:
+                    nxt = used + stride
+                    reached[nxt] = reached.get(nxt, 0) + count * free * weight
         ways = reached
         per_level[level] = sum(ways.values())
     return BoundReport(partition, "sbio", tuple(per_level), sum(per_level))

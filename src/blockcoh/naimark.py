@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .blockcore import BlockPartition
+from .channels import MAX_ENTRY
 from .sampling import random_density_matrices
 
 # Tolerances for effect positivity and completeness of the effect sum.
@@ -49,8 +50,10 @@ class Povm:
         eff = np.asarray(self.effects, dtype=complex)
         if eff.ndim != 3 or eff.shape[0] == 0 or eff.shape[1] != eff.shape[2]:
             raise ValueError("effects must be a nonempty list of square matrices")
-        if not np.all(np.isfinite(eff)):
-            raise ValueError("effects must have finite entries")
+        # a valid effect has entries of magnitude at most 1; the bound keeps
+        # the checks below from overflowing, and NaN fails it too
+        if not np.all(np.abs(eff) <= MAX_ENTRY):
+            raise ValueError("effects must have finite entries of magnitude at most 2**500")
         d = eff.shape[1]
         adj = eff.conj().swapaxes(-1, -2)
         herm = np.abs(eff - adj).max(axis=(1, 2))
@@ -264,10 +267,13 @@ def verify_dilation(povm: Povm, ext: NaimarkExtension, trials: int = 100, seed: 
     # rows x*n + i of column block a::n, regrouped as M[i][x, :]
     mops = ext.global_unitary[:, ext.ancilla_state_index::n].reshape(d, n, d).swapaxes(0, 1)
     compressed = mops.conj().swapaxes(-2, -1) @ mops
-    rhos = random_density_matrices(d, seed, count=trials)[:, None]
-    direct = np.trace(povm.effects @ rhos, axis1=-2, axis2=-1).real
-    dilated = np.trace(compressed @ rhos, axis1=-2, axis2=-1).real
-    return float(np.max(np.abs(direct - dilated)))
+    rhos = random_density_matrices(d, seed, count=trials)
+
+    def traces(ops):  # tr(O_i rho), every O_i rho of a state from one (n*d, d) product
+        return np.trace((ops.reshape(n * d, d) @ rhos).reshape(trials, n, d, d),
+                        axis1=-2, axis2=-1).real
+
+    return float(np.max(np.abs(traces(povm.effects) - traces(compressed))))
 
 
 def induced_partition(povm: Povm) -> tuple[BlockPartition, np.ndarray]:

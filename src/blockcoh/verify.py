@@ -76,7 +76,11 @@ def commutes_with_dephasing(sets, first_seed: int, per_set: int) -> Check:
 
 
 def rank_one_bounds(d: int) -> Check:
-    """Both bounds on the all-ones partition of d, 2 <= d <= 8, equal their closed forms."""
+    """Both bounds on the all-ones partition of d >= 2 equal their closed forms.
+
+    (1,)*d has d + 1 size-count states, so ``sbio_bound`` raises only past
+    ``counting.MAX_SBIO_STATES`` - 1 blocks.
+    """
     ones = BlockPartition([1] * d)
     bio_total = counting.bio_bound(ones).total
     sbio_total = counting.sbio_bound(ones).total

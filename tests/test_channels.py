@@ -143,6 +143,31 @@ def test_selective_probabilities_sum_to_one():
         assert abs(total - 1.0) <= 1e-9
 
 
+def per_operator_branch_outputs(ks, rho):
+    # branch_outputs before it stacked the operators: one K_n rho product
+    # per operator and state
+    ops = ks.operators
+    return ops @ np.asarray(rho)[..., None, :, :] @ ops.conj().swapaxes(-1, -2)
+
+
+def test_branch_outputs_equal_per_operator_products():
+    # bit for bit, on single states and on stacks of every shape
+    for dims in [(2, 3), (1, 1, 1), (1, 15), (4, 4, 4), (3, 5, 7), (1,) * 8, (8, 8, 8, 8), (2, 2)]:
+        p = BlockPartition(dims)
+        for kind in GEN_KINDS:
+            for seed in range(3):
+                ks = gen_random(kind, p, seed)
+                for shape in ((), (1,), (7,), (2, 5), (32,)):
+                    count = int(np.prod(shape, dtype=int))
+                    rhos = np.stack([random_density_matrix(p.total, seed * 100 + t)
+                                     for t in range(count)])
+                    rho = rhos.reshape(shape + rhos.shape[-2:])
+                    out = branch_outputs(ks, rho)
+                    want = per_operator_branch_outputs(ks, rho)
+                    assert out.shape == want.shape == shape + (ks.n_operators, p.total, p.total)
+                    assert np.array_equal(out, want), (dims, kind, seed, shape)
+
+
 def test_block_pattern_examples():
     assert np.array_equal(block_pattern(np.eye(5), P23), np.eye(2, dtype=bool))
     op = np.zeros((5, 5), dtype=complex)

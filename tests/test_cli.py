@@ -317,6 +317,21 @@ def test_classify_rejects_non_finite_entries(tmp_path, capsys):
                 "kind": "parse"}) + "\n")
 
 
+def test_dilate_rejects_effect_entries_above_the_bound(tmp_path, capsys):
+    # the hermitian and PSD checks would overflow on these; one parse line, no warning
+    texts = ['{"dim":1,"effects":[[[[1e308,0]]],[[[-1e308,0]]]]}']
+    texts += [json.dumps({"dim": 1, "effects": [[[[bad, 0]]], [[[-bad, 0]]]]})
+              for bad in (1e200, 2.0**500 * (1 + 2**-52))]
+    for text in texts:
+        path = tmp_path / "huge_povm.json"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, "dilate", str(path)) == (1, "", json.dumps({
+                "error": "effects must have finite entries of magnitude at most 2**500",
+                "kind": "parse"}) + "\n")
+
+
 def test_runtime_error_is_one_json_line(tmp_path, capsys, monkeypatch):
     # -o onto a directory: the rename fails, and the temp file beside it is removed
     (tmp_path / "out").mkdir()

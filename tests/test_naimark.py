@@ -14,7 +14,13 @@ from blockcoh.naimark import (
     measurement_operators,
     verify_dilation,
 )
-from blockcoh.sampling import as_rng, haar_unitary, random_density_matrix, random_povm
+from blockcoh.sampling import (
+    as_rng,
+    haar_unitary,
+    random_density_matrices,
+    random_density_matrix,
+    random_povm,
+)
 
 
 def reference_measurement_operators(povm):
@@ -77,6 +83,18 @@ def reference_verify_dilation(povm, ext, trials=100, seed=0):
     return worst
 
 
+def per_matrix_verify_dilation(povm, ext, trials=100, seed=0):
+    # verify_dilation's products before it stacked the effects: one matmul
+    # per effect and state
+    d, n = povm.dim, povm.n_outcomes
+    mops = ext.global_unitary[:, ext.ancilla_state_index::n].reshape(d, n, d).swapaxes(0, 1)
+    compressed = mops.conj().swapaxes(-2, -1) @ mops
+    rhos = random_density_matrices(d, seed, count=trials)[:, None]
+    direct = np.trace(povm.effects @ rhos, axis1=-2, axis2=-1).real
+    dilated = np.trace(compressed @ rhos, axis1=-2, axis2=-1).real
+    return float(np.max(np.abs(direct - dilated)))
+
+
 def stored_projectors(v, n):
     # the per-outcome stack dilate used to store
     big = v.shape[0]
@@ -104,6 +122,17 @@ def test_povm_validation():
             Povm(np.array([np.diag([1.0, bad]), np.diag([0.0, 1.0])]))
     p = Povm(np.array([np.eye(2) / 2, np.eye(2) / 2]))
     assert p.dim == 2 and p.n_outcomes == 2
+
+
+def test_povm_rejects_entries_above_the_bound():
+    # entries this large would overflow the hermitian and PSD checks
+    message = "effects must have finite entries of magnitude at most 2\\*\\*500"
+    for bad in (1e308, -1e308, 2.0**500 * (1 + 2**-52), 1e200j, 2.0**500 * (1 + 1j)):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+            Povm(np.array([np.diag([1.0, bad]), np.diag([0.0, -bad])]))
+    # at the bound the checks run and name what is wrong
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="not positive semidefinite"):
+        Povm(np.array([np.diag([1.0, 2.0**500]), np.diag([0.0, -(2.0**500)])]))
 
 
 def test_povm_errors_name_the_first_bad_effect():
@@ -323,6 +352,21 @@ def test_verify_dilation_matches_full_space_reference():
                 assert abs(verify_dilation(povm, bad, trials=trials, seed=case) - want) <= 1e-14
                 broken_seen += want > 1e-3
     assert broken_seen > 300
+
+
+def test_verify_dilation_equals_per_matrix_products():
+    # the stacked products give the per-matrix worst value bit for bit, on
+    # faithful dilations and on an ancilla index that breaks them
+    for d in (1, 2, 3, 4, 8, 16):
+        for n in (1, 2, 4, 16):
+            for seed in range(3):
+                povm = Povm(random_povm(d, n, seed))
+                ext = dilate(povm)
+                shifted = [dataclasses.replace(ext, ancilla_state_index=1)] if n > 1 else []
+                for e in [ext] + shifted:
+                    for trials in (1, 20):
+                        fast = verify_dilation(povm, e, trials=trials, seed=seed)
+                        assert fast == per_matrix_verify_dilation(povm, e, trials, seed), (d, n)
 
 
 def test_verify_dilation_fails_on_broken_dilations():
