@@ -15,7 +15,7 @@ ordinary fully-dephasing map and the standard (rank-one) coherence theory.
 Numerical zero tests are scale-relative: an entry counts as zero when its
 magnitude is at most ``tol * (1 + max|entry|)`` of the containing matrix, so
 the same predicates work for unit-trace states and unnormalized operator
-blocks alike.
+blocks alike.  The package's other numeric input rules are defined here too.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Scale-relative threshold below which a matrix entry counts as zero.
-ZERO_TOL = 1e-10
-# Hermiticity / positivity / trace tolerance for density matrices.
-STATE_TOL = 1e-9
+ZERO_TOL = 1e-10         # scale-relative threshold below which an entry counts as zero
+STATE_TOL = 1e-9         # hermiticity, positivity and trace of states, effects, entropies
+CPTP_TOL = 1e-9          # completeness of sum K^dag K = I and of sum E_i = I
+MAX_ENTRY = 2.0 ** 500   # largest Kraus or effect entry magnitude (channels docstring)
 
 
 @dataclass(frozen=True)

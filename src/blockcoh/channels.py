@@ -44,7 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcore import (
+from .blockcore import (  # CPTP_TOL and MAX_ENTRY stay readable as channels.*
+    CPTP_TOL,
+    MAX_ENTRY,
     ZERO_TOL,
     BlockPartition,
     _as_stack,
@@ -54,10 +56,6 @@ from .blockcore import (
 )
 from .sampling import as_rng, ginibre, haar_unitary
 
-# Completeness tolerance for sum K^dag K = I.
-CPTP_TOL = 1e-9
-# Largest magnitude of a Kraus entry (see the module docstring).
-MAX_ENTRY = 2.0 ** 500
 # Entries of one Gram panel of the MBIO check (16 bytes each as computed).
 MBIO_PANEL = 1 << 16
 
@@ -610,20 +608,18 @@ def _random_pbio_spec(partition: BlockPartition, rng) -> PbioSpec:
 
 
 def _generate(partition: BlockPartition, rng, draw, accept, error: str) -> KrausSet:
-    """The first complete set from up to 32 rounds of ``draw(n_ops)`` that passes ``accept``.
+    """The set that one ``draw(n_ops)`` fills, n_ops = d + 0..2 drawn first.
 
-    n_ops = d + 0..2 is drawn once; a pattern that cannot be completed is
-    skipped.  Raises RuntimeError(``error``) when no round succeeds."""
+    Each column block spans at least n_ops >= d stacked rows, one row block
+    per operator, and at most d - d_c columns are fixed before it, so one
+    draw always completes.  Members are in their class by construction and
+    violators leave theirs with probability 1; a set that is not complete or
+    that ``accept`` rejects raises RuntimeError(``error``), with no redraw."""
     n_ops = partition.total + int(rng.integers(0, 3))
-    for _ in range(32):
-        try:
-            ops = _kraus_from_block_patterns(partition, draw(n_ops), rng)
-        except RuntimeError:
-            continue
-        ks = KrausSet(partition, ops)
-        if verify_cptp(ks) and accept(ks):
-            return ks
-    raise RuntimeError(error)
+    ks = KrausSet(partition, _kraus_from_block_patterns(partition, draw(n_ops), rng))
+    if not (verify_cptp(ks) and accept(ks)):
+        raise RuntimeError(error)
+    return ks
 
 
 def gen_random(kind: str, partition: BlockPartition, seed: int) -> KrausSet:

@@ -6,9 +6,9 @@ place nonzero entries level by level gives the recurrence
 
     C_i = [ sum_j (2**(d_j * d_i) - 1) ] * C_{i+1},    C_{k+1} = 1,
 
-with the bound equal to sum_i C_i.  For the strict class the nonzero blocks
-of one operator occupy distinct rows, so the level counts run over injective
-row choices:
+with the bound sum_i C_i, ``BoundReport.total``.  For the strict class the
+nonzero blocks of one operator occupy distinct rows, so the level counts run
+over injective row choices:
 
     C_p = sum over injective tuples (i_p, ..., i_k) of
           prod_{l=p..k} (2**(d_{i_l} * d_l) - 1).
@@ -43,18 +43,19 @@ MAX_SBIO_STATES = 4096
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-level counts C_1..C_k and their total for one partition and class."""
+    """Per-level counts C_1..C_k for one partition and class; ``total`` is their sum."""
 
     partition: BlockPartition
     kind: str                      # 'bio' | 'sbio'
     per_level: tuple[int, ...]
-    total: int
 
     def __post_init__(self):
-        if self.total != sum(self.per_level):
-            raise ValueError("total does not match the per-level counts")
         if any(c < 1 for c in self.per_level):
             raise ValueError("every per-level count must be at least 1")
+
+    @property
+    def total(self) -> int:
+        return sum(self.per_level)
 
 
 def bio_bound(partition: BlockPartition) -> BoundReport:
@@ -68,7 +69,7 @@ def bio_bound(partition: BlockPartition) -> BoundReport:
     for i in range(len(dims) - 1, -1, -1):
         c_next = factors[dims[i]] * c_next
         per_level[i] = c_next
-    return BoundReport(partition, "bio", tuple(per_level), sum(per_level))
+    return BoundReport(partition, "bio", tuple(per_level))
 
 
 def sbio_bound(partition: BlockPartition) -> BoundReport:
@@ -97,7 +98,7 @@ def sbio_bound(partition: BlockPartition) -> BoundReport:
                     reached[nxt] = reached.get(nxt, 0) + count * free * weight
         ways = reached
         per_level[level] = sum(ways.values())
-    return BoundReport(partition, "sbio", tuple(per_level), sum(per_level))
+    return BoundReport(partition, "sbio", tuple(per_level))
 
 
 def rank_one_bio_total(d: int) -> int:

@@ -8,20 +8,19 @@ diagonal, so S(dephase(rho)) is taken from the spectra of rho's diagonal
 blocks, never from a whole d x d eigenproblem.  The probes sample random
 states and channels and report the worst observed violation of
 monotonicity, strong (selective) monotonicity and convexity; they report
-evidence, they do not prove the axioms.
+evidence, they do not prove the axioms.  An eigenvalue more than
+``blockcore.STATE_TOL`` below 0 or above 1 marks a non-state and raises.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blockcore import BlockPartition, _as_stack, block_mask
+from .blockcore import STATE_TOL, BlockPartition, _as_stack, block_mask
 from .channels import KrausSet, apply_channel, branch_outputs, is_bio_semantic
 from .sampling import _hs_states, random_density_matrices
 from .serialize import matrix_to_json
 
-# Eigenvalues more than this below 0 or above 1 are treated as invalid input.
-EIG_TOL = 1e-9
 # Selective branches below this probability are dropped.
 PROB_TOL = 1e-12
 # Trials a probe evaluates per stacked measure call; bounds the probe's memory.
@@ -47,15 +46,15 @@ def _hermitian_part(rho) -> np.ndarray:
 def _entropy_of_spectra(vals: np.ndarray):
     """-sum lambda log2 lambda over the last axis of ascending eigenvalues.
 
-    Eigenvalues inside [-EIG_TOL, 0] are clamped to zero and those inside
-    [1, 1 + EIG_TOL] to one; anything further out, in any row, raises, since
+    Eigenvalues inside [-STATE_TOL, 0] are clamped to zero and those inside
+    [1, 1 + STATE_TOL] to one; anything further out, in any row, raises, since
     no state has such an eigenvalue.
     """
     lo = vals.min(initial=0.0)
-    if lo < -EIG_TOL:
+    if lo < -STATE_TOL:
         raise ValueError(f"input is not positive semidefinite (min eigenvalue {lo:.3e})")
     hi = vals.max(initial=0.0)
-    if hi > 1.0 + EIG_TOL:
+    if hi > 1.0 + STATE_TOL:
         raise ValueError(f"input has an eigenvalue above 1 (max eigenvalue {hi:.3e})")
     vals = np.clip(vals, 0.0, 1.0)
     # log2(1) = 0 in place of log2(0), so clamped eigenvalues add exactly 0
@@ -67,8 +66,8 @@ def von_neumann_entropy(rho):
     """Entropy -sum lambda log2 lambda in bits, with 0 log 0 = 0.
 
     ``rho`` is one (d, d) state, giving a float, or a stack (..., d, d),
-    giving an array of shape (...).  Eigenvalues inside [-EIG_TOL, 0] are
-    clamped to zero and those inside [1, 1 + EIG_TOL] to one; an eigenvalue
+    giving an array of shape (...).  Eigenvalues inside [-STATE_TOL, 0] are
+    clamped to zero and those inside [1, 1 + STATE_TOL] to one; an eigenvalue
     further out, in any state of the stack, raises, since that indicates a
     non-state rather than rounding noise.  Non-finite entries raise too.
     """

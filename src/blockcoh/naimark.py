@@ -15,7 +15,9 @@ most d vectors, the span of the fixed columns' rows from the panel on, so
 the completion costs O((dn)^2 d) work rather than O((dn)^3); the V it gives
 equals the one-candidate-at-a-time completion up to rounding.  The dilation
 is neither minimal nor unique, but it is reproducible byte for byte and
-exactly reproduces every outcome probability.
+exactly reproduces every outcome probability.  Effects obey ``blockcore``'s
+rules: entries at most ``MAX_ENTRY``, hermitian and positive semidefinite
+within ``STATE_TOL``, and summing to the identity within ``CPTP_TOL``.
 """
 
 from __future__ import annotations
@@ -25,13 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockcore import BlockPartition
-from .channels import MAX_ENTRY
+from .blockcore import CPTP_TOL, MAX_ENTRY, STATE_TOL, BlockPartition
 from .sampling import random_density_matrices
 
-# Tolerances for effect positivity and completeness of the effect sum.
-PSD_TOL = 1e-9
-SUM_TOL = 1e-9
 # The dilation's completion: canonical candidates per panel, the projected
 # norm below which a candidate is skipped, and the one at or below which a
 # skip counts as exact (its candidate lies in the span up to rounding).
@@ -59,12 +57,12 @@ class Povm:
         herm = np.abs(eff - adj).max(axis=(1, 2))
         lo = np.linalg.eigvalsh((eff + adj) / 2).min(axis=1)
         # the first effect that breaks either condition names the error
-        for i in np.flatnonzero((herm > PSD_TOL) | (lo < -PSD_TOL))[:1]:
-            if herm[i] > PSD_TOL:
+        for i in np.flatnonzero((herm > STATE_TOL) | (lo < -STATE_TOL))[:1]:
+            if herm[i] > STATE_TOL:
                 raise ValueError(f"effect {i} is not hermitian (deviation {herm[i]:.3e})")
             raise ValueError(f"effect {i} is not positive semidefinite (min eigenvalue {lo[i]:.3e})")
         sum_dev = float(np.max(np.abs(eff.sum(axis=0) - np.eye(d))))
-        if sum_dev > SUM_TOL:
+        if sum_dev > CPTP_TOL:
             raise ValueError(f"effects do not sum to identity (deviation {sum_dev:.3e})")
         self.effects = eff
 
@@ -86,7 +84,7 @@ def measurement_operators(povm: Povm) -> np.ndarray:
     eff = povm.effects
     vals, vecs = np.linalg.eigh((eff + eff.conj().swapaxes(-1, -2)) / 2)
     lo = vals.min()
-    if lo < -PSD_TOL:
+    if lo < -STATE_TOL:
         raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)

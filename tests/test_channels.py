@@ -251,6 +251,8 @@ def test_sbio_violators_on_every_partition(dims):
 def test_violating_generator_rejects_single_block():
     with pytest.raises(ValueError):
         gen_pattern_violating("bio", BlockPartition((5,)), 0)
+    with pytest.raises(ValueError, match="no pattern-violating generator for class 'pbio'"):
+        gen_pattern_violating("pbio", P23, 0)
 
 
 def test_converse_probe_random_search(tmp_path):
@@ -421,6 +423,11 @@ def test_build_pbio_errors():
     with pytest.raises(ValueError, match="normalized"):
         build_pbio(unnorm)
 
+    amps = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    with pytest.raises(ValueError, match=r"pi_system must have shape \(3, 2\), got \(2, 2\)"):
+        PbioSpec(BlockPartition((3,)), BlockPartition((2,)), amps,
+                 np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
+
 
 def test_build_pbio_rejects_block_splitting_permutation():
     # a joint permutation that tears one system block across two is refused
@@ -434,6 +441,11 @@ def test_build_pbio_rejects_block_splitting_permutation():
     assert sorted(flat.ravel().tolist()) == list(range(6))
     with pytest.raises(PbioConstructionError):
         build_pbio(PbioSpec(p, anc, amps, pi_sys, pi_anc, np.zeros((3, 2))))
+    # on one system block the pattern holds, but K_0's columns carry weights
+    # 1 and 1/2, so its block is no scaled isometry
+    with pytest.raises(PbioConstructionError, match="scalar x unitary x projector"):
+        build_pbio(PbioSpec(BlockPartition((3,)), BlockPartition((2,)), amps,
+                            pi_sys, pi_anc, np.zeros((3, 2))))
 
 
 def test_gen_random_classes_and_determinism():
@@ -448,6 +460,22 @@ def test_gen_random_classes_and_determinism():
     )
     with pytest.raises(ValueError):
         gen_random("nonsense", P23, 0)
+
+
+def test_generator_takes_one_draw(monkeypatch):
+    # a set the class check rejects is an error, not a reason to draw again
+    calls = []
+    fill = channels._kraus_from_block_patterns
+
+    def counted(*args):
+        calls.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr(channels, "_kraus_from_block_patterns", counted)
+    monkeypatch.setattr(channels, "is_bio_structural", lambda ks: False)
+    with pytest.raises(RuntimeError, match=r"could not generate a bio set for partition \(2,3\)"):
+        gen_random("bio", P23, 0)
+    assert len(calls) == 1
 
 
 def test_gen_random_pbio_factorization():

@@ -140,6 +140,8 @@ def test_rank_one_closed_forms(monkeypatch):
     assert rank_one_bio_total(3) == 39
     assert rank_one_sbio_total(3) == 15
     assert rank_one_bio_total(5) == 3905
+    with pytest.raises(ValueError, match="need d >= 2, got 1"):
+        rank_one_bio_total(1)
     # (1,)*d has d + 1 size-count states, so only the state cap stops the check
     assert verify.rank_one_bounds(9).passed
     monkeypatch.setattr(counting, "MAX_SBIO_STATES", 9)
@@ -165,7 +167,10 @@ def test_report_invariants():
     report = bio_bound(BlockPartition((1, 2, 2)))
     assert report.total == sum(report.per_level)
     assert all(c >= 1 for c in report.per_level)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 1"):
+        BoundReport(BlockPartition((1, 1)), "bio", (3, 0))
+    # the total is derived from the counts, so it cannot be passed in
+    with pytest.raises(TypeError):
         BoundReport(BlockPartition((2,)), "bio", (3,), 4)
 
 
