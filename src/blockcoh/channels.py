@@ -389,7 +389,10 @@ class PbioSpec:
     that permutes the product basis with phases, and a block projective
     measurement on the ancilla.  The permutation is stored through its two
     output components: product index (x, s) maps to
-    (pi_system[x, s], pi_ancilla[x, s]).
+    (pi_system[x, s], pi_ancilla[x, s]).  Making a spec raises ValueError
+    for a wrong shape, a non-finite amplitude or phase, a permutation that is
+    no bijection, amplitudes off unit norm by more than 1e-12, or an ancilla
+    state that is not free (nonzero amplitudes in more than one block).
     """
 
     system_partition: BlockPartition
@@ -413,11 +416,8 @@ class PbioSpec:
         ):
             if arr.shape != (da, db):
                 raise ValueError(f"{name} must have shape ({da}, {db}), got {arr.shape}")
-
-    def validate(self):
-        """Raise ValueError when the permutation or normalization is broken."""
-        da = self.system_partition.total
-        db = self.ancilla_partition.total
+        if not (np.all(np.isfinite(self.amplitudes)) and np.all(np.isfinite(self.phases))):
+            raise ValueError("ancilla amplitudes and phases must be finite")
         flat = self.pi_system * db + self.pi_ancilla
         if (
             self.pi_system.min() < 0
@@ -430,6 +430,8 @@ class PbioSpec:
         norm_dev = abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
         if norm_dev > 1e-12:
             raise ValueError(f"ancilla amplitudes are not normalized (off by {norm_dev:.3e})")
+        if np.ptp(block_labels(self.ancilla_partition)[self.amplitudes != 0]) > 0:
+            raise ValueError("ancilla state is not free: its amplitudes span more than one block")
 
 
 def has_scaled_isometry_blocks(ks: KrausSet) -> bool:
@@ -469,12 +471,12 @@ def build_pbio(spec: PbioSpec) -> KrausSet:
               amplitudes[s] * exp(i phases[x, s]) |pi_system[x, s]><x|
 
     Operators that vanish identically (measurement outcomes that never fire)
-    are dropped.  The result is checked to be complete, to carry at most one
-    nonzero block per row and per column partition, and to factor block-wise
-    as scalar x unitary x projector; a recipe that breaks any of these raises
+    are dropped.  The spec was checked when it was made; the result is
+    checked to be complete, to carry at most one nonzero block per row and
+    per column partition, and to factor block-wise as scalar x unitary x
+    projector.  A recipe that breaks any of these raises
     PbioConstructionError rather than returning a channel outside the class.
     """
-    spec.validate()
     da = spec.system_partition.total
     db = spec.ancilla_partition.total
     kraus = np.zeros((db, da, da), dtype=complex)

@@ -97,7 +97,7 @@ class NaimarkExtension:
     system_dim: int
     outcomes: int
     global_unitary: np.ndarray        # (d*n, d*n)
-    ancilla_state_index: int = 0      # the ancilla starts in this basis state
+    ancilla_state_index = 0           # a class constant, not a field: the ancilla starts in 0
 
     def __post_init__(self):
         big = self.system_dim * self.outcomes
@@ -106,32 +106,26 @@ class NaimarkExtension:
             raise ValueError(
                 f"global unitary is {self.global_unitary.shape}, expected ({big}, {big})"
             )
-        if not 0 <= self.ancilla_state_index < self.outcomes:
-            raise ValueError(
-                f"ancilla state index {self.ancilla_state_index} is outside 0..{self.outcomes - 1}"
-            )
 
     @cached_property
     def pvm(self) -> np.ndarray:
         """Rank-d projectors P_i = V^dag (I (x) |i><i|) V, shape (n, d*n, d*n).
 
-        Built from V on first access and kept; ``dilate`` and ``verify_dilation``
-        do not read them, ``blockcoh.verify.dilation`` checks their algebra.
+        Built from V by one stacked product on first access and kept; ``dilate``
+        and ``verify_dilation`` do not read them, ``blockcoh.verify.dilation``
+        checks their algebra.
         """
-        v, n = self.global_unitary, self.outcomes
-        big = v.shape[0]
-        pvm = np.empty((n, big, big), dtype=complex)
-        for i in range(n):
-            rows = v[i::n, :]
-            pvm[i] = rows.conj().T @ rows
-        return pvm
+        d, n = self.system_dim, self.outcomes
+        rows = self.global_unitary.reshape(d, n, d * n).swapaxes(0, 1)
+        return rows.conj().swapaxes(-1, -2) @ rows
 
 
 def dilate(povm: Povm) -> NaimarkExtension:
     """Construct the canonical projective extension of a POVM.
 
     The global space is system (x) ancilla with the ancilla index varying
-    fastest, so global basis index (x, i) sits at x*n + i.  The unitary V is
+    fastest, so global basis index (x, i) sits at x*n + i.  The ancilla starts
+    in basis state 0 (the class constant ``ancilla_state_index``), and V is
     fixed by V(|psi> (x) |0>) = sum_i (M_i |psi>) (x) |i>.  Its remaining
     columns, in order, are the ordered Gram-Schmidt completion over the
     canonical basis vectors e_t of the global space, smallest t first: each
@@ -180,7 +174,7 @@ def dilate(povm: Povm) -> NaimarkExtension:
     mops = measurement_operators(povm)
     d, n = povm.dim, povm.n_outcomes
     big = d * n
-    anc = 0
+    anc = NaimarkExtension.ancilla_state_index
 
     # V is the only store: row x*n + i of fixed column y*n + anc holds
     # M_i[x, y], and accepted vector k is column order[k], the fixed columns
@@ -243,19 +237,19 @@ def dilate(povm: Povm) -> NaimarkExtension:
         k += good
         t += good + (good < width)
 
-    return NaimarkExtension(system_dim=d, outcomes=n, global_unitary=v, ancilla_state_index=anc)
+    return NaimarkExtension(system_dim=d, outcomes=n, global_unitary=v)
 
 
 def verify_dilation(povm: Povm, ext: NaimarkExtension, trials: int = 100, seed: int = 0) -> float:
     """Worst probability mismatch between the POVM and its projective model.
 
     Over ``trials`` random states returns
-    max_i |tr(E_i rho) - tr(P_i (rho (x) |a><a|))| with the fixed ancilla
-    state a.  The dilated side is evaluated as tr(C_i rho), where
-    C_i = M_i^dag M_i with M_i = V[i::n, a::n] is the block of P_i on the
-    ancilla-a subspace, read from V and not from the effects.  The two paths
-    agree analytically, so the return value is pure floating-point noise for
-    a faithful dilation.
+    max_i |tr(E_i rho) - tr(P_i (rho (x) |a><a|))| with the ancilla state
+    a = ``ext.ancilla_state_index``, always 0.  The dilated side is tr(C_i rho),
+    where C_i = M_i^dag M_i with M_i = V[i::n, a::n] is the block of P_i on
+    the ancilla-a subspace, read from V and not from the effects.  The two
+    paths agree analytically, so the return value is pure floating-point
+    noise for a faithful dilation.
     """
     d, n = povm.dim, povm.n_outcomes
     if ext.system_dim != d or ext.outcomes != n:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -399,40 +400,47 @@ def test_build_pbio_ancilla_superposition_within_block():
     assert has_scaled_isometry_blocks(ks)
 
 
+def with_entry(arr, index, value):
+    out = arr.copy()
+    out[index] = value
+    return out
+
+
 def test_build_pbio_errors():
+    # a PbioSpec checks itself when it is made, so each bad spec raises at
+    # PbioSpec(...), before build_pbio and before any numpy warning
     spec = dephasing_spec(P23)
-    bad = PbioSpec(
-        spec.system_partition,
-        spec.ancilla_partition,
-        spec.amplitudes,
-        np.zeros_like(spec.pi_system),
-        spec.pi_ancilla,
-        spec.phases,
-    )
-    with pytest.raises(ValueError, match="bijection"):
-        build_pbio(bad)
-
-    unnorm = PbioSpec(
-        spec.system_partition,
-        spec.ancilla_partition,
-        spec.amplitudes * 2.0,
-        spec.pi_system,
-        spec.pi_ancilla,
-        spec.phases,
-    )
-    with pytest.raises(ValueError, match="normalized"):
-        build_pbio(unnorm)
-
-    amps = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    with pytest.raises(ValueError, match=r"pi_system must have shape \(3, 2\), got \(2, 2\)"):
-        PbioSpec(BlockPartition((3,)), BlockPartition((2,)), amps,
-                 np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
+    sys_p, anc_p = spec.system_partition, spec.ancilla_partition
+    amps, pi_sys, pi_anc, phases = spec.amplitudes, spec.pi_system, spec.pi_ancilla, spec.phases
+    half = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    rows = [
+        ("bijection", (sys_p, anc_p, amps, np.zeros_like(pi_sys), pi_anc, phases)),
+        ("normalized", (sys_p, anc_p, amps * 2.0, pi_sys, pi_anc, phases)),
+        ("amplitudes and phases must be finite",
+         (sys_p, anc_p, with_entry(amps, 1, np.nan), pi_sys, pi_anc, phases)),
+        ("amplitudes and phases must be finite",
+         (sys_p, anc_p, amps, pi_sys, pi_anc, with_entry(phases, (0, 0), np.nan))),
+        ("amplitudes and phases must be finite",
+         (sys_p, anc_p, amps, pi_sys, pi_anc, with_entry(phases, (2, 1), np.inf))),
+        (r"pi_system must have shape \(3, 2\), got \(2, 2\)",
+         (BlockPartition((3,)), BlockPartition((2,)), half,
+          np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((3, 2)))),
+        # an equal superposition across the two blocks of a (1,1) ancilla
+        ("ancilla state is not free",
+         (BlockPartition((2, 1)), BlockPartition((1, 1)), half,
+          [[0, 1], [2, 0], [1, 2]], [[0, 0], [0, 1], [1, 1]], np.zeros((3, 2)))),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for match, args in rows:
+            with pytest.raises(ValueError, match=match):
+                build_pbio(PbioSpec(*args))
 
 
 def test_build_pbio_rejects_block_splitting_permutation():
     # a joint permutation that tears one system block across two is refused
     p = BlockPartition((2, 1))
-    anc = BlockPartition((1, 1))
+    anc = BlockPartition((2,))  # one block, so the superposed ancilla state is free
     amps = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     # send (x=0, s) to system index 0 and (x=1..2, s) elsewhere, mixing blocks
     pi_sys = np.array([[0, 1], [2, 0], [1, 2]])
@@ -690,17 +698,31 @@ def test_mbio_panels_match_whole_gram(monkeypatch, budget):
     assert verdicts == {True, False}
 
 
-def test_mbio_panel_stays_within_its_budget():
+def test_mbio_panel_stays_within_its_budget(monkeypatch):
     # the whole |Gram| of one (16,16,16) column block is 9.4 MB as computed,
-    # and reference_mbio_pairs traces 18.9 MB here; a panel is at most 1.5 MB
-    ks = gen_random("sbio", BlockPartition((16, 16, 16)), 7)
+    # and reference_mbio_pairs traces 18.9 MB here; a panel is at most 1.5 MB.
+    # An SBIO member's exact support opens no column block, so 1e-10 leaks
+    # in its zeros make is_mbio form a Gram: it traces 3.7 MB with panels
+    # and 15.5 MB with MBIO_PANEL unbounded
+    p = BlockPartition((16, 16, 16))
+    member = gen_random("sbio", p, 7).operators
+    rng = np.random.default_rng(7)
+    ks = KrausSet(p, member + 1e-10 * (member == 0) * ginibre(rng, *member.shape))
+    whole, formed = channels._mbio_pairs, []
+
+    def counted(ks, blocks):
+        for pair in whole(ks, blocks):
+            formed.append(pair)
+            yield pair
+
+    monkeypatch.setattr(channels, "_mbio_pairs", counted)
     tracemalloc.start()
     try:
-        holds = is_mbio(ks)
+        is_mbio(ks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert holds
+    assert formed, "is_mbio formed no Gram"
     assert peak <= 8e6, f"is_mbio traced a peak of {peak / 1e6:.1f} MB"
 
 

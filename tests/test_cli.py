@@ -751,8 +751,7 @@ def test_stacked_faithfulness_matches_per_state_loop():
 def scaled(dilate):
     def dilate_scaled(povm):
         ext = dilate(povm)
-        return NaimarkExtension(ext.system_dim, ext.outcomes, (1 + 1e-6) * ext.global_unitary,
-                                ext.ancilla_state_index)
+        return NaimarkExtension(ext.system_dim, ext.outcomes, (1 + 1e-6) * ext.global_unitary)
     return dilate_scaled
 
 

@@ -105,6 +105,14 @@ def stored_projectors(v, n):
     return pvm
 
 
+def ancilla_swapped(ext, a):
+    # the extension with V's column groups 0::n and a::n swapped: verify_dilation
+    # reads V[:, 0::n], so this models an ancilla started in basis state a
+    v, n = ext.global_unitary.copy(), ext.outcomes
+    v[:, 0::n], v[:, a::n] = ext.global_unitary[:, a::n], ext.global_unitary[:, 0::n]
+    return dataclasses.replace(ext, global_unitary=v)
+
+
 def trine_povm():
     kets = [np.array([np.cos(j * np.pi / 3), np.sin(j * np.pi / 3)]) for j in range(3)]
     return Povm(np.array([(2 / 3) * np.outer(v, v.conj()) for v in kets]))
@@ -343,7 +351,7 @@ def test_verify_dilation_matches_full_space_reference():
         assert fast <= 1e-10
         assert abs(fast - reference_verify_dilation(povm, ext, trials, case)) <= 1e-14, (d, n)
         if n > 1 and d < 16:
-            shifted = dataclasses.replace(ext, ancilla_state_index=1)
+            shifted = ancilla_swapped(ext, 1)
             v = ext.global_unitary.copy()
             v[:, 0] *= 1.01
             scaled = dataclasses.replace(ext, global_unitary=v)
@@ -362,7 +370,7 @@ def test_verify_dilation_equals_per_matrix_products():
             for seed in range(3):
                 povm = Povm(random_povm(d, n, seed))
                 ext = dilate(povm)
-                shifted = [dataclasses.replace(ext, ancilla_state_index=1)] if n > 1 else []
+                shifted = [ancilla_swapped(ext, 1)] if n > 1 else []
                 for e in [ext] + shifted:
                     for trials in (1, 20):
                         fast = verify_dilation(povm, e, trials=trials, seed=seed)
@@ -379,7 +387,7 @@ def test_verify_dilation_fails_on_broken_dilations():
         perturbed = dataclasses.replace(ext, global_unitary=v)
         assert verify_dilation(povm, perturbed, trials=20, seed=seed) > 1e-3
         for a in range(1, n):
-            wrong = dataclasses.replace(ext, ancilla_state_index=a)
+            wrong = ancilla_swapped(ext, a)
             assert verify_dilation(povm, wrong, trials=20, seed=seed) > 1e-3
 
 
@@ -397,10 +405,10 @@ def test_extension_checks_its_shape_and_ancilla_index():
         NaimarkExtension(2, 3, np.eye(5))
     with pytest.raises(ValueError, match="global unitary"):
         NaimarkExtension(2, 3, np.eye(6)[:, :5])
-    for bad in (-1, 3):
-        with pytest.raises(ValueError, match="ancilla"):
-            NaimarkExtension(2, 3, np.eye(6), bad)
-    assert NaimarkExtension(2, 3, np.eye(6), 2).ancilla_state_index == 2
+    # the ancilla index is a constant, not a constructor argument
+    with pytest.raises(TypeError):
+        NaimarkExtension(2, 3, np.eye(6), 2)
+    assert NaimarkExtension(2, 3, np.eye(6)).ancilla_state_index == 0
 
 
 def test_projectors_are_built_on_request():
